@@ -20,6 +20,7 @@
 //! `PISORT_FAULT_PLAN=<seed>[:<period>]`; without the variable the
 //! built-in seeds below run.
 
+use std::collections::HashMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -301,7 +302,8 @@ fn single_transient_faults_are_recovered_exactly_with_visible_retries() {
 
 /// A torn write on the pipelined path surfaces exactly one loud, typed
 /// error, engages degradation probation (visible in the stats), rewrites
-/// the reclaimed run synchronously — and loses not a single record.
+/// the reclaimed run synchronously — and loses not a single record.  Both
+/// engines (sorter and group-by) run through the same fault.
 #[test]
 fn torn_write_degrades_recovers_and_reports_probation() {
     let input = generate_pairs_u32(
@@ -311,6 +313,11 @@ fn torn_write_degrades_recovers_and_reports_probation() {
     );
     let mut want = input.clone();
     want.sort_by_key(|r| r.0);
+    let gb_input: Vec<(u32, u64)> = input.iter().map(|&(k, v)| (k, u64::from(v))).collect();
+    let mut gb_want: HashMap<u32, u64> = HashMap::new();
+    for &(k, v) in &gb_input {
+        *gb_want.entry(k).or_default() += v;
+    }
     for backend in ["blocking", "batched"] {
         let ctx = format!("torn-write backend={backend}");
         let base = case_dir("torn");
@@ -340,6 +347,42 @@ fn torn_write_degrades_recovers_and_reports_probation() {
         );
         let got = sorter.finish_vec().unwrap();
         assert_eq!(got, want, "no record may be lost to the torn write [{ctx}]");
+        assert_empty_and_remove(&base, &ctx);
+
+        // The group-by engine through the same torn write: one loud error,
+        // probation visible, aggregates exact.
+        let ctx = format!("torn-write group-by backend={backend}");
+        let base = case_dir("torn-gb");
+        let plan = FaultPlan::nth(FaultKind::TornWrite, 4);
+        let io = make_io(backend).with_faults(plan.clone());
+        let mut gb: StreamGroupBy<u32, SumAgg> = StreamGroupBy::with_config_and_io(
+            SumAgg,
+            cfg(&base, SpillCompression::Off, false),
+            io,
+        );
+        let mut errors = 0usize;
+        for chunk in gb_input.chunks(CHUNK) {
+            if let Err(e) = gb.push(chunk) {
+                assert_attributable(&e, &ctx);
+                errors += 1;
+            }
+        }
+        if let Err(e) = gb.flush_spills() {
+            assert_attributable(&e, &ctx);
+            errors += 1;
+        }
+        assert_eq!(plan.injected(), 1, "the torn write must have fired [{ctx}]");
+        assert_eq!(errors, 1, "exactly one loud error [{ctx}]");
+        assert!(
+            gb.stats().degraded_syncs >= 1,
+            "probation must be visible in stats [{ctx}]: {:?}",
+            gb.stats()
+        );
+        let got = gb.finish_vec().unwrap();
+        assert_eq!(got.len(), gb_want.len(), "one aggregate per key [{ctx}]");
+        for (k, sum) in got {
+            assert_eq!(sum, gb_want[&k], "key {k}: aggregate lost to the torn write [{ctx}]");
+        }
         assert_empty_and_remove(&base, &ctx);
     }
 }
