@@ -366,8 +366,8 @@ pub struct StreamConfig {
     /// Total working-set budget in bytes, split into
     /// [`StreamConfig::spill_shares`] equal shares: one buffers incoming
     /// records, one is the sort's ping-pong scratch, and (when spilling is
-    /// pipelined) `spill_pipeline_depth` shares bound the sorted runs in
-    /// flight to the writer thread.  One run therefore holds about
+    /// pipelined) one bounds the sorted run in flight to the writer
+    /// thread.  One run therefore holds about
     /// `memory_budget_bytes / (spill_shares · record_size)` records.
     ///
     /// `record_size` is the *inline* struct size (`size_of::<(K, V)>()`).
@@ -402,17 +402,6 @@ pub struct StreamConfig {
     /// kept as an escape hatch (and as the reference side of the
     /// pipelined-vs-synchronous differential tests).
     pub synchronous_spill: bool,
-    /// Maximum number of sorted runs in flight to the spill-writer thread
-    /// (queued plus being written), each counting one budget share; the
-    /// producer blocks once the pipeline is full (backpressure).  Clamped
-    /// to at least 1.  Ignored when `synchronous_spill` is set.
-    ///
-    /// The default of 1 is classic double buffering: run `N + 1` sorts
-    /// while run `N` writes.  Each extra unit of depth smooths over
-    /// burstier disk latency but shrinks the run capacity by one budget
-    /// share — and smaller runs mean a wider final merge fan-in, which is
-    /// usually the worse trade.
-    pub spill_pipeline_depth: usize,
     /// Prefetch decoded record blocks ahead of the final k-way merge, one
     /// reader thread per spilled run, through a channel bounded by the
     /// per-run share of `merge_read_buffer_bytes` — so the loser tree
@@ -487,7 +476,6 @@ impl Default for StreamConfig {
             spill_dir: None,
             merge_read_buffer_bytes: 8 << 20,
             synchronous_spill: false,
-            spill_pipeline_depth: 1,
             merge_read_ahead: None,
             spill_compression: SpillCompression::default(),
             spill_io: SpillIoMode::default(),
@@ -541,14 +529,15 @@ impl StreamConfig {
     }
 
     /// Number of equal budget shares the record memory is split into: one
-    /// filling buffer + one sort scratch, plus one per possible in-flight
-    /// run when spilling is pipelined.  In-flight runs buffer real bytes,
-    /// so they must be paid for out of the same budget.
+    /// filling buffer + one sort scratch, plus one for the run in flight
+    /// to the writer when spilling is pipelined (classic double buffering:
+    /// run `N + 1` sorts while run `N` writes).  The in-flight run buffers
+    /// real bytes, so it must be paid for out of the same budget.
     pub fn spill_shares(&self) -> usize {
         if self.synchronous_spill {
             2
         } else {
-            2 + self.spill_pipeline_depth.max(1)
+            3
         }
     }
 
@@ -651,25 +640,25 @@ mod tests {
         let sync = StreamConfig::synchronous_with_memory_budget(1 << 20);
         assert_eq!(sync.spill_shares(), 2);
         assert_eq!(sync.run_capacity(8), (1 << 20) / 16);
-        // Pipelined (default depth 1, double buffering): one more share
+        // Pipelined (double buffering): one more share
         // pays for the run in flight to the writer thread.
         let piped = StreamConfig::with_memory_budget(1 << 20);
         assert!(!piped.synchronous_spill);
         assert_eq!(piped.spill_shares(), 3);
         assert_eq!(piped.run_capacity(8), (1 << 20) / 24);
-        // A degenerate depth clamps to 1 in-flight run; deeper pipelines
-        // pay one share each; degenerate budgets clamp to a record floor.
-        let shallow = StreamConfig {
-            spill_pipeline_depth: 0,
+        // The share count follows the spill mode alone; degenerate budgets
+        // clamp to a record floor in either mode.
+        assert_eq!(StreamConfig::default().spill_shares(), 3);
+        let sync_default = StreamConfig {
+            synchronous_spill: true,
             ..StreamConfig::default()
         };
-        assert_eq!(shallow.spill_shares(), 3);
-        let deep = StreamConfig {
-            spill_pipeline_depth: 2,
-            ..StreamConfig::default()
-        };
-        assert_eq!(deep.spill_shares(), 4);
+        assert_eq!(sync_default.spill_shares(), 2);
         assert_eq!(StreamConfig::with_memory_budget(0).run_capacity(8), 1);
+        assert_eq!(
+            StreamConfig::synchronous_with_memory_budget(0).run_capacity(8),
+            1
+        );
         assert!(StreamConfig::default().memory_budget_bytes > 0);
     }
 
@@ -681,17 +670,17 @@ mod tests {
         // is now one record per share.
         for record_size in [1usize, 8, 64, 1024, 64 << 10] {
             for budget in [0usize, 1, 100, 4096, 1 << 20] {
-                for depth in [1usize, 2, 8] {
+                for synchronous_spill in [true, false] {
                     let cfg = StreamConfig {
                         memory_budget_bytes: budget,
-                        spill_pipeline_depth: depth,
+                        synchronous_spill,
                         ..StreamConfig::default()
                     };
                     let resident = cfg.run_capacity(record_size) * cfg.spill_shares() * record_size;
                     let worst = budget.max(cfg.spill_shares() * record_size);
                     assert!(
                         resident <= worst,
-                        "budget {budget}, record {record_size}, depth {depth}: \
+                        "budget {budget}, record {record_size}, sync {synchronous_spill}: \
                          resident {resident} > worst-case {worst}"
                     );
                 }

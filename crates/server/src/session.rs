@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stream::{
-    Aggregator, FaultPlan, GroupByStats, GroupedStream, SortedStream, SpillIoHandle, SpillValue,
-    StreamGroupBy, StreamSorter, StreamStats, StringKey, StringSortedStream, StringStreamSorter,
+    Aggregator, FaultPlan, GroupedStream, SortedStream, SpillIoHandle, SpillValue, StreamGroupBy,
+    StreamSorter, StreamStats, StringKey, StringSortedStream, StringStreamSorter,
 };
 
 /// A session-scoped failure: the I/O error that broke *one* session,
@@ -469,8 +469,8 @@ impl<K: IntegerKey, G: Aggregator> GroupSession<K, G> {
         self.core.lease.granted_bytes()
     }
 
-    /// Engine counters (see [`GroupByStats`]).
-    pub fn stats(&self) -> &GroupByStats {
+    /// Engine counters (see [`StreamStats`]).
+    pub fn stats(&self) -> &StreamStats {
         self.gb.stats()
     }
 

@@ -38,17 +38,12 @@
 //! assert!(counts.windows(2).all(|w| w[0].0 < w[1].0), "key-ordered output");
 //! ```
 
-use crate::pipeline::SpillPipeline;
-use crate::sorter::{open_run_cursors, RunCursor};
-use crate::spill::{
-    var_payload_bytes, var_payload_should_spill, wrap_spill_err, write_run_with_retry, SpillSpace,
-    SpillValue, SpilledRun,
-};
+use crate::engine::{RunEngine, RunMerge, RunReducer, StreamStats, SPILL_PIPELINE_DEPTH};
+use crate::metrics::{m, EngineMetrics, StreamMetrics};
+use crate::spill::{sealed::Sealed, SpillValue};
 use crate::spillio::SpillIoHandle;
 use dtsort::{IntegerKey, StreamConfig};
-use parlay::kway::LoserTree;
 use semisort::{semisort_pairs_with, SemisortConfig};
-use std::collections::VecDeque;
 use std::io;
 use std::marker::PhantomData;
 
@@ -215,133 +210,32 @@ where
     }
 }
 
-/// Counters describing what a [`StreamGroupBy`] did.
-///
-/// `records_pushed` and `partial_aggregates` are always exact.  With
-/// pipelined spilling, `spilled_runs` / `spilled_bytes` count only runs
-/// *confirmed durable*, reconciled lazily at each `push`; [`is_settled`]
-/// reports whether that lag currently exists, and
-/// [`StreamGroupBy::flush_spills`] drains it.
-///
-/// [`is_settled`]: GroupByStats::is_settled
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupByStats {
-    /// Records accepted by `push` / `push_record` so far.  Counted per
-    /// accepted chunk, so a failed spill mid-push leaves every record the
-    /// group-by still owns counted.
-    pub records_pushed: u64,
-    /// Aggregated runs spilled to disk so far.
-    pub spilled_runs: usize,
-    /// Bytes of partial aggregates written to spill files so far (on-disk,
-    /// post-compression).
-    pub spilled_bytes: u64,
-    /// Bytes the same runs would have occupied in the uncompressed (flat)
-    /// spill encoding; see
-    /// [`crate::StreamStats::spilled_raw_bytes`].
-    pub spilled_raw_bytes: u64,
-    /// Partial-aggregate records produced so far (spilled runs + tail);
-    /// `records_pushed − partial_aggregates` records were collapsed before
-    /// ever reaching disk.
-    pub partial_aggregates: u64,
-    /// Transient spill-write failures retried (and eventually succeeded)
-    /// under [`StreamConfig::spill_retry`]; see
-    /// [`crate::StreamStats::spill_retries`].
-    pub spill_retries: u64,
-    /// Runs spilled synchronously while pipelining was on probation after
-    /// a writer failure; see [`crate::StreamStats::degraded_syncs`].
-    pub degraded_syncs: u64,
-    /// Whether the spill counters are exact right now: `false` while
-    /// aggregated runs are in flight to the background spill writer,
-    /// `true` once reconciliation has caught up.  Always `true` under
-    /// [`StreamConfig::synchronous_spill`];
-    /// [`StreamGroupBy::flush_spills`] forces it back to `true`.
-    pub is_settled: bool,
-}
-
-impl Default for GroupByStats {
-    fn default() -> Self {
-        Self {
-            records_pushed: 0,
-            spilled_runs: 0,
-            spilled_bytes: 0,
-            spilled_raw_bytes: 0,
-            partial_aggregates: 0,
-            spill_retries: 0,
-            degraded_syncs: 0,
-            // Nothing in flight before the first pipelined spill.
-            is_settled: true,
-        }
-    }
-}
-
 /// Bounded-memory streaming group-by over pushed `(key, value)` records.
 ///
 /// See the module docs for the design; in short: buffer → semisort
 /// → fold per group → spill one partial per distinct key → merge-combine
-/// partials at read time.
-pub struct StreamGroupBy<K: IntegerKey, G: Aggregator> {
-    cfg: StreamConfig,
-    /// The spill I/O backend ([`dtsort::StreamConfig::spill_io`]);
-    /// possibly shared with sibling engines by
-    /// [`StreamGroupBy::with_config_and_io`].
-    io: SpillIoHandle,
+/// partials at read time.  Buffering, spilling, failure recovery and the
+/// merge setup are the shared [`RunEngine`]'s.
+pub type StreamGroupBy<K, G> = RunEngine<AggregateRuns<K, G>>;
+
+/// The group-by's run reducer: a semisort of the buffer, then one fold per
+/// group into a partial aggregate.
+pub struct AggregateRuns<K, G> {
     agg: G,
-    run_capacity: usize,
-    /// Peak transient footprint per buffered record (see `with_config`);
-    /// kept so a live-budget change can recompute `run_capacity`.
-    record_footprint: usize,
-    buffer: Vec<(K, G::Input)>,
-    /// Spilled payload bytes of the buffered inputs (tracked only for
-    /// variable-length inputs; always 0 on the pod path).
-    buffered_value_bytes: usize,
-    /// Aggregated runs whose spill *write* failed, in run order: kept so
-    /// the error path loses no data — the next spill retries them, and
-    /// `finish` merges them like any other run.
-    pending_partials: VecDeque<Vec<(u64, G::Acc)>>,
-    runs: Vec<SpilledRun>,
-    /// Aggregated runs currently in flight to the spill-writer thread.
-    in_flight_runs: usize,
-    /// Distinct name counter for synchronously written run files (the
-    /// pipelined writer numbers its own `agg-p*` namespace).
-    sync_run_seq: usize,
-    /// `Some(n)` after a writer-side error surfaced: spill synchronously
-    /// until `n` more clean synchronous spills succeed, then re-enable
-    /// pipelining ([`dtsort::SpillRetryPolicy::probation_spills`]).
-    degraded: Option<u32>,
-    /// Runs aggregated so far (labels the `aggregate_run` trace spans).
-    runs_aggregated: usize,
-    /// Pipeline incarnations started so far; each gets its own
-    /// `agg-p{generation}-` file namespace so a restart after probation
-    /// cannot collide with a previous incarnation's files.
-    pipeline_generation: usize,
-    // Field order matters: the pipeline must drop (joining its writer)
-    // before the spill space deletes the directory under it.
-    pipeline: Option<SpillPipeline<u64, G::Acc>>,
-    space: Option<SpillSpace>,
-    stats: GroupByStats,
-    /// Scoped obs enable for [`StreamConfig::trace`]; transferred to the
-    /// finished stream so recording covers the merge drain too.
-    trace_guard: Option<obs::EnableGuard>,
+    _key: PhantomData<fn() -> K>,
 }
 
-impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
-    /// Group-by with the default [`StreamConfig`] (256 MiB budget).
-    pub fn new(agg: G) -> Self {
-        Self::with_config(agg, StreamConfig::default())
-    }
+impl<K, G> Sealed for AggregateRuns<K, G> {}
 
-    pub fn with_config(agg: G, cfg: StreamConfig) -> Self {
-        let io = SpillIoHandle::from_config(&cfg);
-        Self::with_config_and_io(agg, cfg, io)
-    }
+impl<K: IntegerKey, G: Aggregator> RunReducer for AggregateRuns<K, G> {
+    type Key = K;
+    type Input = G::Input;
+    type RunKey = u64;
+    type Output = G::Acc;
+    const FILE_STEM: &'static str = "agg";
+    const SPAN: &'static str = "aggregate_run";
 
-    /// Like [`StreamGroupBy::with_config`], but spilling through a
-    /// caller-provided I/O backend — this is how a multi-session server
-    /// shares one batched worker pool across every engine.
-    pub fn with_config_and_io(agg: G, cfg: StreamConfig, io: SpillIoHandle) -> Self {
-        // Scoped, not sticky: tracing reverts when this engine (and any
-        // stream it returns) is dropped.
-        let trace_guard = cfg.trace.then(obs::scoped_enable);
+    fn run_capacity(cfg: &StreamConfig) -> usize {
         // Peak transient footprint per buffered record: the pushed record
         // itself, plus the `(key, index)` tag pair the semisort moves (and
         // the scratch copy of it the semisort engine allocates), plus the
@@ -355,7 +249,7 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
         let in_flight_footprint = if cfg.synchronous_spill {
             0
         } else {
-            cfg.spill_pipeline_depth.max(1) * std::mem::size_of::<(u64, G::Acc)>()
+            SPILL_PIPELINE_DEPTH * std::mem::size_of::<(u64, G::Acc)>()
         };
         let record_footprint = std::mem::size_of::<(K, G::Input)>()
             + 2 * std::mem::size_of::<(u64, u64)>()
@@ -365,165 +259,11 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
         // would admit `floor × record_footprint` resident bytes under a
         // degenerate budget, silently overshooting it (the same fix as
         // `StreamConfig::run_capacity`).
-        let record_footprint = record_footprint.max(1);
-        let run_capacity = (cfg.effective_budget_bytes() / record_footprint).max(1);
-        Self {
-            cfg,
-            io,
-            agg,
-            run_capacity,
-            record_footprint,
-            buffer: Vec::new(),
-            buffered_value_bytes: 0,
-            pending_partials: VecDeque::new(),
-            runs: Vec::new(),
-            in_flight_runs: 0,
-            sync_run_seq: 0,
-            degraded: None,
-            runs_aggregated: 0,
-            pipeline_generation: 0,
-            pipeline: None,
-            space: None,
-            stats: GroupByStats::default(),
-            trace_guard,
-        }
+        (cfg.effective_budget_bytes() / record_footprint.max(1)).max(1)
     }
 
-    /// Re-reads the budget (which a live [`dtsort::BudgetHandle`] may have
-    /// resized since the last check) into the run capacity.  Called on
-    /// every push chunk, so a shrunk grant takes effect mid-stream as an
-    /// early spill instead of an over-budget buffer.
-    fn refresh_run_capacity(&mut self) {
-        if self.cfg.budget.is_some() {
-            self.run_capacity = (self.cfg.effective_budget_bytes() / self.record_footprint).max(1);
-        }
-    }
-
-    /// Applies the current budget grant immediately: re-reads the
-    /// (possibly shrunk) [`dtsort::BudgetHandle`] and aggregates + spills
-    /// the buffered run early if it no longer fits the grant.  `push`
-    /// re-checks per chunk anyway; this hook exists for granters (e.g. a
-    /// memory governor) reclaiming from a session that is idle between
-    /// pushes.
-    pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.refresh_run_capacity();
-        if self.should_spill() {
-            self.spill_partial_run()?;
-        }
-        Ok(())
-    }
-
-    /// Counters (spills, collapse ratio, ...).
-    ///
-    /// With pipelined spilling, `spilled_runs` / `spilled_bytes` count runs
-    /// confirmed durable, reconciled at every `push`;
-    /// [`GroupByStats::is_settled`] tells whether they are exact right
-    /// now, and [`StreamGroupBy::flush_spills`] makes them exact.
-    pub fn stats(&self) -> &GroupByStats {
-        &self.stats
-    }
-
-    /// Blocks until every aggregated run handed to the background spill
-    /// writer is durable on disk, surfacing any writer-side error.
-    /// Afterwards [`StreamGroupBy::stats`] is exact.  A no-op under
-    /// [`StreamConfig::synchronous_spill`].
-    pub fn flush_spills(&mut self) -> io::Result<()> {
-        if let Some(pipeline) = &self.pipeline {
-            pipeline.flush();
-        }
-        self.reconcile_pipeline()
-    }
-
-    /// Number of runs the final merge will see (spilled runs, runs in
-    /// flight to the writer, pending runs whose spill write failed, and
-    /// the in-memory tail).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-            + self.in_flight_runs
-            + self.pending_partials.len()
-            + usize::from(!self.buffer.is_empty())
-    }
-
-    /// Spills are due when a stashed run awaits its retry, the record
-    /// count hits capacity, or buffered variable-length input payloads
-    /// reach the shared byte threshold (without which large payloads could
-    /// pile up un-aggregated far past the budget).
-    fn buffer_needs_spill(&self) -> bool {
-        !self.buffer.is_empty()
-            && (self.buffer.len() >= self.run_capacity
-                || var_payload_should_spill::<G::Input>(
-                    self.buffered_value_bytes,
-                    self.cfg.effective_budget_bytes(),
-                    self.cfg.spill_shares(),
-                ))
-    }
-
-    fn should_spill(&self) -> bool {
-        !self.pending_partials.is_empty() || self.buffer_needs_spill()
-    }
-
-    /// Appends a batch of records, aggregating and spilling full runs.
-    pub fn push(&mut self, records: &[(K, G::Input)]) -> io::Result<()> {
-        let mut rest = records;
-        loop {
-            self.refresh_run_capacity();
-            if self.should_spill() {
-                if let Err(e) = self.spill_partial_run() {
-                    // A failed spill must not cost the caller the rest of
-                    // the slice: absorb it (transiently past capacity,
-                    // bounded by the slice), then report.
-                    self.buffer_chunk(rest);
-                    return Err(e);
-                }
-            }
-            if rest.is_empty() {
-                return Ok(());
-            }
-            // A shrunk grant can put the buffer over the new capacity; the
-            // saturating space is then 0 and the spill above drains it on
-            // the next iteration.
-            let space = self.run_capacity.saturating_sub(self.buffer.len());
-            let take = space.min(rest.len());
-            let (chunk, tail) = rest.split_at(take);
-            self.buffer_chunk(chunk);
-            rest = tail;
-        }
-    }
-
-    /// Moves `chunk` into the run buffer, keeping byte and record
-    /// accounting exact (`records_pushed == len()` even on error paths).
-    fn buffer_chunk(&mut self, chunk: &[(K, G::Input)]) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.buffer.extend_from_slice(chunk);
-        self.buffered_value_bytes += var_payload_bytes(chunk);
-        self.stats.records_pushed += chunk.len() as u64;
-        if obs::enabled() {
-            crate::metrics::m()
-                .gb_records_pushed
-                .add(chunk.len() as u64);
-        }
-    }
-
-    /// Appends a single record (no clone of the value).
-    pub fn push_record(&mut self, key: K, value: G::Input) -> io::Result<()> {
-        // Buffer the record *before* any spill attempt: on a spill error
-        // the caller's (possibly only) copy of the value is then owned by
-        // the group-by rather than dropped on the error return.
-        if G::Input::SPILL_FIXED_SIZE.is_none() {
-            self.buffered_value_bytes += value.spill_size();
-        }
-        self.buffer.push((key, value));
-        self.stats.records_pushed += 1;
-        if obs::enabled() {
-            crate::metrics::m().gb_records_pushed.incr();
-        }
-        self.refresh_run_capacity();
-        if self.should_spill() {
-            self.spill_partial_run()?;
-        }
-        Ok(())
+    fn metrics(m: &StreamMetrics) -> &EngineMetrics {
+        &m.groupby
     }
 
     /// Semisorts the buffered run and folds each group into one partial
@@ -532,36 +272,28 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
     /// The semisort moves only `(ordered key, index)` tags; lifted
     /// accumulators sit in index-addressed slots and are *moved* into the
     /// fold, so variable-length accumulators are never copied here.
-    fn aggregate_run(&mut self) -> Vec<(u64, G::Acc)> {
-        let traced = obs::enabled() && !self.buffer.is_empty();
-        let start = traced.then(std::time::Instant::now);
-        let _span = traced.then(|| obs::span!("aggregate_run", run = self.runs_aggregated));
-        if !self.buffer.is_empty() {
-            self.runs_aggregated += 1;
-        }
+    fn reduce(
+        &mut self,
+        buffer: &mut Vec<(K, G::Input)>,
+        mut out: Vec<(u64, G::Acc)>,
+        cfg: &StreamConfig,
+        stats: &mut StreamStats,
+    ) -> Vec<(u64, G::Acc)> {
         let agg = &self.agg;
-        let mut tags: Vec<(u64, u64)> = Vec::with_capacity(self.buffer.len());
-        let mut accs: Vec<Option<G::Acc>> = Vec::with_capacity(self.buffer.len());
-        for (i, (k, v)) in self.buffer.drain(..).enumerate() {
+        let mut tags: Vec<(u64, u64)> = Vec::with_capacity(buffer.len());
+        let mut accs: Vec<Option<G::Acc>> = Vec::with_capacity(buffer.len());
+        for (i, (k, v)) in buffer.drain(..).enumerate() {
             tags.push((k.to_ordered_u64(), i as u64));
             accs.push(Some(agg.lift(v)));
         }
-        self.buffered_value_bytes = 0;
         let semi_cfg = SemisortConfig {
-            sort: self.cfg.sort.clone(),
+            sort: cfg.sort.clone(),
             ..SemisortConfig::default()
         };
         let mut groups = semisort_pairs_with(&mut tags, &semi_cfg);
         // Runs must be spilled sorted by key for the k-way merge; only the
         // distinct keys of the run are sorted, not its records.
         dtsort::sort_by_key(&mut groups, |g| g.key);
-        // Reuse a buffer recycled from an already-written run, if the
-        // pipeline has one pooled.
-        let mut out: Vec<(u64, G::Acc)> = self
-            .pipeline
-            .as_ref()
-            .and_then(|p| p.recycled_buffer())
-            .unwrap_or_default();
         let recycled = out.len();
         for g in &groups {
             let group_tags = &tags[g.start..g.end];
@@ -615,188 +347,34 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
             }
         }
         let produced = (out.len() - recycled) as u64;
-        self.stats.partial_aggregates += produced;
-        if let Some(start) = start {
-            let metrics = crate::metrics::m();
-            metrics.gb_aggregate_ns.record_duration(start.elapsed());
-            metrics.gb_partial_aggregates.add(produced);
+        stats.partial_aggregates += produced;
+        if obs::enabled() {
+            m().gb_partial_aggregates.add(produced);
         }
         out
     }
+}
 
-    fn spill_partial_run(&mut self) -> io::Result<()> {
-        // Secure the spill directory *before* draining the buffer into
-        // partials: if directory creation fails, the records stay buffered
-        // (and counted) instead of being aggregated into a vector that the
-        // error path would drop.
-        if self.space.is_none() {
-            self.space = Some(SpillSpace::create(self.cfg.spill_dir.as_ref())?);
-        }
-        // Runs whose write failed earlier are retried before the buffer is
-        // aggregated again (the push loop spills once per iteration, so a
-        // refilled buffer follows on the next iteration).
-        self.retry_pending_partials()?;
-        if !self.buffer_needs_spill() {
-            return Ok(());
-        }
-        if self.cfg.synchronous_spill || self.degraded.is_some() {
-            let partial = self.aggregate_run();
-            self.write_partial_sync(partial)
-        } else {
-            self.spill_partial_pipelined()
-        }
+impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
+    /// Group-by with the default [`StreamConfig`] (256 MiB budget).
+    pub fn new(agg: G) -> Self {
+        Self::with_config(agg, StreamConfig::default())
     }
 
-    fn retry_pending_partials(&mut self) -> io::Result<()> {
-        while let Some(partial) = self.pending_partials.pop_front() {
-            if let Err(e) = self.write_partial_sync_inner(&partial) {
-                self.pending_partials.push_front(partial);
-                return Err(e);
-            }
-        }
-        Ok(())
+    pub fn with_config(agg: G, cfg: StreamConfig) -> Self {
+        let io = SpillIoHandle::from_config(&cfg);
+        Self::with_config_and_io(agg, cfg, io)
     }
 
-    fn write_partial_sync(&mut self, partial: Vec<(u64, G::Acc)>) -> io::Result<()> {
-        if let Err(e) = self.write_partial_sync_inner(&partial) {
-            // Keep the only copy of this run's aggregates for a retry
-            // (or for `finish`, which merges it from memory).
-            self.pending_partials.push_back(partial);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn write_partial_sync_inner(&mut self, partial: &[(u64, G::Acc)]) -> io::Result<()> {
-        let dir = &self.space.as_ref().expect("spill space secured").dir;
-        let path = dir.join(format!("agg-s{:06}.bin", self.sync_run_seq));
-        let _span = obs::enabled().then(|| obs::span!("spill_write", run = self.sync_run_seq));
-        let spilled = match write_run_with_retry(
-            &self.io,
-            &path,
-            partial,
-            self.cfg.spill_compression,
-            &self.cfg.spill_retry,
-        ) {
-            Ok(spilled) => spilled,
-            Err(e) => {
-                std::fs::remove_file(&path).ok();
-                let attempted: u64 = partial.iter().map(|(_, a)| 8 + a.spill_size() as u64).sum();
-                return Err(wrap_spill_err(&path, self.sync_run_seq, attempted, e));
-            }
+    /// Like [`StreamGroupBy::with_config`], but spilling through a
+    /// caller-provided I/O backend — this is how a multi-session server
+    /// shares one batched worker pool across every engine.
+    pub fn with_config_and_io(agg: G, cfg: StreamConfig, io: SpillIoHandle) -> Self {
+        let reducer = AggregateRuns {
+            agg,
+            _key: PhantomData,
         };
-        self.sync_run_seq += 1;
-        self.stats.spilled_runs += 1;
-        self.stats.spilled_bytes += spilled.bytes;
-        self.stats.spilled_raw_bytes += spilled.raw_bytes;
-        self.stats.spill_retries += spilled.retries as u64;
-        if obs::enabled() {
-            let metrics = crate::metrics::m();
-            metrics.gb_spilled_runs.incr();
-            metrics.gb_spilled_bytes.add(spilled.bytes);
-        }
-        self.runs.push(spilled);
-        self.note_degraded_sync();
-        Ok(())
-    }
-
-    /// One clean synchronous spill while on probation: count it, and once
-    /// enough succeed, lift the probation so the next spill restarts the
-    /// pipeline.  A no-op outside probation.
-    fn note_degraded_sync(&mut self) {
-        let Some(left) = self.degraded else { return };
-        self.stats.degraded_syncs += 1;
-        if obs::enabled() {
-            crate::metrics::m().degraded_syncs.incr();
-        }
-        let left = left.saturating_sub(1);
-        self.degraded = (left > 0).then_some(left);
-    }
-
-    /// Hands the aggregated run to the background writer: the next run
-    /// buffers and semisorts while this one streams to disk.
-    fn spill_partial_pipelined(&mut self) -> io::Result<()> {
-        if self.pipeline.is_none() {
-            let dir = self
-                .space
-                .as_ref()
-                .expect("spill space secured")
-                .dir
-                .clone();
-            let generation = self.pipeline_generation;
-            self.pipeline_generation += 1;
-            self.pipeline = Some(SpillPipeline::start(
-                self.io.clone(),
-                dir,
-                self.cfg.spill_pipeline_depth,
-                format!("agg-p{generation}-"),
-                self.cfg.spill_compression,
-                self.cfg.spill_retry,
-            ));
-        }
-        let partial = self.aggregate_run();
-        self.in_flight_runs += 1;
-        // The run's bytes will not reach the spill counters until the
-        // writer confirms them durable.
-        self.stats.is_settled = false;
-        self.pipeline
-            .as_mut()
-            .expect("pipeline just started")
-            .submit(partial); // blocks while the pipeline is at depth
-        self.reconcile_pipeline()
-    }
-
-    /// Accounts runs the writer has completed and surfaces any writer-side
-    /// error; on error the pipeline is torn down, its unwritten runs are
-    /// reclaimed as pending, and the group-by falls back to synchronous
-    /// spilling.
-    fn reconcile_pipeline(&mut self) -> io::Result<()> {
-        let (completed, error) = match &self.pipeline {
-            None => return Ok(()),
-            Some(p) => (p.drain_completed(), p.poll_error()),
-        };
-        self.account_completed(completed);
-        if let Some(e) = error {
-            self.teardown_pipeline();
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn account_completed(&mut self, completed: Vec<SpilledRun>) {
-        for run in completed {
-            self.in_flight_runs -= 1;
-            self.stats.spilled_runs += 1;
-            self.stats.spilled_bytes += run.bytes;
-            self.stats.spilled_raw_bytes += run.raw_bytes;
-            self.stats.spill_retries += run.retries as u64;
-            if obs::enabled() {
-                let metrics = crate::metrics::m();
-                metrics.gb_spilled_runs.incr();
-                metrics.gb_spilled_bytes.add(run.bytes);
-            }
-            self.runs.push(run);
-        }
-        if self.in_flight_runs == 0 {
-            self.stats.is_settled = true;
-        }
-    }
-
-    fn teardown_pipeline(&mut self) -> Option<io::Error> {
-        let pipeline = self.pipeline.take()?;
-        let closed = pipeline.close();
-        self.account_completed(closed.completed);
-        for partial in closed.failed {
-            self.in_flight_runs -= 1;
-            self.pending_partials.push_back(partial);
-        }
-        // Nothing is in flight any more: completed runs were accounted
-        // above and failed ones reclaimed as pending.
-        self.stats.is_settled = true;
-        // Probation, not a life sentence: spill synchronously until enough
-        // clean spills prove the fault was transient, then re-pipeline.
-        self.degraded = Some(self.cfg.spill_retry.probation_spills.max(1));
-        closed.error
+        Self::with_reducer(reducer, cfg, io)
     }
 
     /// Finishes the group-by: merges all per-run partials, combining equal
@@ -805,34 +383,12 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
     ///
     /// A writer-side spill error that has not surfaced on a `push` yet
     /// surfaces here.
-    pub fn finish(mut self) -> io::Result<GroupedStream<K, G>> {
-        if let Some(e) = self.teardown_pipeline() {
-            return Err(e);
-        }
-        let pending: Vec<Vec<(u64, G::Acc)>> = self.pending_partials.drain(..).collect();
-        let tail = self.aggregate_run();
-        let (mut cursors, read_ahead_disabled, prefetch_capped) =
-            open_run_cursors::<G::Acc>(&self.runs, &self.cfg, &self.io)?;
-        // Runs whose spill write failed merge from memory; they were
-        // aggregated before the current tail, so their cursors precede the
-        // tail's (equal-key partials combine in push order).
-        for p in pending {
-            cursors.push(RunCursor::from_memory(p));
-        }
-        if !tail.is_empty() {
-            cursors.push(RunCursor::from_memory(tail));
-        }
+    pub fn finish(self) -> io::Result<GroupedStream<K, G>> {
+        let (merge, reducer) = self.into_merge()?;
         Ok(GroupedStream {
-            tree: LoserTree::new(cursors, G::Acc::spill_record_lt),
-            agg: self.agg,
+            merge,
+            agg: reducer.agg,
             pending: None,
-            read_ahead_disabled,
-            prefetch_capped,
-            _space: self.space.take(),
-            _merge_span: obs::enabled().then(|| obs::span!("merge")),
-            // The scoped enable moves to the stream so the merge drain
-            // records too; it reverts when the stream drops.
-            _trace: self.trace_guard.take(),
             _key: PhantomData,
         })
     }
@@ -843,24 +399,13 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
     }
 }
 
-type AggMergeTree<A> = LoserTree<RunCursor<A>, fn(&(u64, A), &(u64, A)) -> bool>;
-
 /// Streaming output of a [`StreamGroupBy`]: `(key, aggregate)` pairs in
 /// increasing key order.  Holds the spill directory alive until dropped.
 pub struct GroupedStream<K: IntegerKey, G: Aggregator> {
-    tree: AggMergeTree<G::Acc>,
+    merge: RunMerge<G::Acc>,
     agg: G,
     /// The first partial of the *next* key, already popped from the tree.
     pending: Option<(u64, G::Acc)>,
-    read_ahead_disabled: bool,
-    prefetch_capped: bool,
-    _space: Option<SpillSpace>,
-    /// Open `merge` span covering the stream's lifetime (None when
-    /// tracing is disabled); recorded when the stream is dropped.
-    _merge_span: Option<obs::SpanGuard>,
-    /// Keeps [`StreamConfig::trace`]'s scoped enable alive through the
-    /// merge drain.
-    _trace: Option<obs::EnableGuard>,
     _key: PhantomData<K>,
 }
 
@@ -868,13 +413,13 @@ impl<K: IntegerKey, G: Aggregator> GroupedStream<K, G> {
     /// Whether the final merge wanted read-ahead but ran synchronously;
     /// see [`crate::SortedStream::read_ahead_disabled`].
     pub fn read_ahead_disabled(&self) -> bool {
-        self.read_ahead_disabled
+        self.merge.read_ahead_disabled
     }
 
     /// Whether read-ahead was disabled specifically by the backend's
     /// fan-in cap; see [`crate::SortedStream::prefetch_capped`].
     pub fn prefetch_capped(&self) -> bool {
-        self.prefetch_capped
+        self.merge.prefetch_capped
     }
 }
 
@@ -882,9 +427,9 @@ impl<K: IntegerKey, G: Aggregator> Iterator for GroupedStream<K, G> {
     type Item = (K, G::Acc);
 
     fn next(&mut self) -> Option<(K, G::Acc)> {
-        let (key, mut acc) = self.pending.take().or_else(|| self.tree.pop())?;
+        let (key, mut acc) = self.pending.take().or_else(|| self.merge.tree.pop())?;
         loop {
-            match self.tree.pop() {
+            match self.merge.tree.pop() {
                 // The loser tree yields equal keys in run order, so partials
                 // combine in push order.  Accumulators carrying an embedded
                 // full key (string-keyed streams, where the ordered `u64`
@@ -1126,7 +671,7 @@ mod tests {
         // merge them from memory, before the current tail.
         let mut gb: StreamGroupBy<u64, SumAgg> = StreamGroupBy::new(SumAgg);
         gb.push(&[(2, 10), (4, 1)]).unwrap();
-        gb.pending_partials.push_back(vec![(1, 5), (2, 7)]);
+        gb.pending_runs.push_back(vec![(1, 5), (2, 7)]);
         assert_eq!(gb.run_count(), 2, "pending run counts toward the merge");
         let got = gb.finish_vec().unwrap();
         assert_eq!(got, vec![(1, 5), (2, 17), (4, 1)]);
@@ -1136,7 +681,7 @@ mod tests {
     fn pending_partial_is_retried_by_the_next_push() {
         let mut gb: StreamGroupBy<u64, SumAgg> =
             StreamGroupBy::with_config(SumAgg, tiny_cfg(16 << 10));
-        gb.pending_partials.push_back(vec![(9, 3)]);
+        gb.pending_runs.push_back(vec![(9, 3)]);
         gb.push_record(9, 2).unwrap();
         assert_eq!(
             gb.stats().spilled_runs,

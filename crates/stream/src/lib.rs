@@ -11,22 +11,43 @@
 //!   run-sorting with ingestion instead of requiring the full dataset up
 //!   front.
 //!
-//! ## How it works
+//! ## How it works: one engine, two reducers
 //!
-//! [`StreamSorter`] buffers pushed records up to the run capacity derived
-//! from [`dtsort::StreamConfig::memory_budget_bytes`], which is split
-//! into equal shares ([`dtsort::StreamConfig::spill_shares`]): one
-//! buffers records, one is DovetailSort's ping-pong scratch, and one per
-//! unit of pipeline depth pays for runs in flight to the spill writer.
-//! Each full buffer is stably sorted with the paper's DovetailSort and
-//! written to a spill file; the final partial buffer stays in memory.
-//! [`StreamSorter::finish`] merges all runs with a tournament loser tree
-//! ([`parlay::kway::LoserTree`]) behind a streaming iterator whose
-//! footprint stays within the budget, while [`StreamSorter::finish_into`]
-//! uses the parallel k-way merge ([`parlay::kway::kway_merge_into`]) when
-//! the caller wants the result materialized in a slice.  Both merges break
-//! ties toward earlier runs, so the end-to-end sort is **stable** with
-//! respect to push order.
+//! Both streaming engines are the same [`RunEngine`], and every stage of
+//! it exists once:
+//!
+//! ```text
+//! push ─► buffer ─► reduce run ─► spill (inline, or pipelined with
+//!                                 retry + probation) ─► k-way merge
+//! ```
+//!
+//! 1. **Buffer.**  Pushed records fill a run buffer up to the run
+//!    capacity derived from [`dtsort::StreamConfig::memory_budget_bytes`],
+//!    which is split into equal shares
+//!    ([`dtsort::StreamConfig::spill_shares`]): one buffers records, one
+//!    is the reduction's scratch, and — when spilling is pipelined — one
+//!    pays for the run in flight to the spill writer.  A live
+//!    [`dtsort::BudgetHandle`] is re-read on every push.
+//! 2. **Reduce.**  A full buffer becomes a run ordered by key.  This is
+//!    the only step that differs between the engines (the
+//!    [`RunReducer`]): [`StreamSorter`] ([`SortRuns`]) stably sorts the
+//!    run with the paper's DovetailSort, while [`StreamGroupBy`]
+//!    ([`AggregateRuns`]) semisorts it and folds each group into one
+//!    partial aggregate.
+//! 3. **Spill.**  The run is written to disk inline, or handed to a
+//!    background writer so the next run fills meanwhile.  Failed writes
+//!    keep the run in memory for a retry, and a writer failure puts the
+//!    engine on probation (see below).
+//! 4. **Merge.**  `finish` merges all runs with a tournament loser tree
+//!    ([`parlay::kway::LoserTree`]) behind a streaming iterator whose
+//!    footprint stays within the budget; [`StreamSorter::finish_into`]
+//!    uses the parallel k-way merge ([`parlay::kway::kway_merge_into`])
+//!    when the caller wants the result materialized in a slice.  Merges
+//!    break ties toward earlier runs, so the end-to-end sort is
+//!    **stable** with respect to push order, and the group-by combines
+//!    equal-key partials in push order.
+//!
+//! Both engines report through one [`StreamStats`].
 //!
 //! ## Heavy-key carry-over and the dovetail merge
 //!
@@ -55,8 +76,8 @@
 //!
 //! Spilling is pipelined by default (the crate-private `pipeline`
 //! module): each
-//! sorted run is handed to a dedicated **writer thread** through a
-//! bounded channel, so run `N + 1` sorts while run `N` streams to disk
+//! reduced run is handed to a dedicated **writer thread** through a
+//! bounded channel, so run `N + 1` is reduced while run `N` streams to disk
 //! (fsync included — a run recorded as spilled is durably on disk), and
 //! the final merge **reads ahead** of the loser tree with one block
 //! prefetcher per spilled run.  The memory budget is split into *spill
@@ -101,11 +122,12 @@
 //! ## Streaming group-by
 //!
 //! When the consumer wants *aggregates per key* rather than the sorted
-//! records themselves, [`StreamGroupBy`] does strictly less work: each run
-//! is semisorted (heavy duplicate keys collapse in one pass), folded into
-//! one partial aggregate per distinct key, and only those partials are
-//! spilled; the final merge combines equal-key partials while streaming.
-//! Duplicate-dominated streams never materialize their duplicates on disk.
+//! records themselves, [`StreamGroupBy`] does strictly less work: its
+//! reducer semisorts each run (heavy duplicate keys collapse in one
+//! pass) and folds it into one partial aggregate per distinct key, and
+//! only those partials are spilled; the final merge combines equal-key
+//! partials while streaming.  Duplicate-dominated streams never
+//! materialize their duplicates on disk.
 //!
 //! ## Variable-length values
 //!
@@ -149,9 +171,8 @@
 //! Both encodings decode through the same reader, flow through the same
 //! background writer thread and merge read-ahead, and yield
 //! byte-identical output — the uncompressed format stays the
-//! differential reference.  [`StreamStats::spilled_raw_bytes`] /
-//! [`GroupByStats::spilled_raw_bytes`] expose the achieved on-disk
-//! ratio.
+//! differential reference.  [`StreamStats::spilled_raw_bytes`] exposes
+//! the achieved on-disk ratio.
 //!
 //! ## Choosing an API
 //!
@@ -164,6 +185,7 @@
 //! | Dedup variable-length payloads per key | [`StreamGroupBy`] + [`FirstAgg`] |
 
 mod codec;
+mod engine;
 mod fault;
 mod groupby;
 mod metrics;
@@ -178,12 +200,13 @@ mod strkey;
 pub use dtsort::{
     SortConfig, SpillCompression, SpillIoMode, SpillRetryPolicy, StreamConfig, StringKey,
 };
+pub use engine::{RunEngine, RunReducer, StreamStats};
 pub use fault::{FaultKind, FaultPlan, DEFAULT_FAULT_KINDS, DEFAULT_FAULT_PERIOD};
 pub use groupby::{
-    Aggregator, ConcatAgg, CountAgg, FirstAgg, FoldAgg, GroupByStats, GroupedStream, MaxAgg,
+    AggregateRuns, Aggregator, ConcatAgg, CountAgg, FirstAgg, FoldAgg, GroupedStream, MaxAgg,
     MinAgg, StreamGroupBy, SumAgg,
 };
-pub use sorter::{SortedStream, StreamSorter, StreamStats};
+pub use sorter::{SortRuns, SortedStream, StreamSorter};
 pub use spill::{PodValue, SpillError, SpillValue, VarValue};
 pub use spillio::SpillIoHandle;
 pub use strkey::{

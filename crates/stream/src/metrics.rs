@@ -1,7 +1,7 @@
 //! Registry handles for the streaming engines' metrics.
 //!
 //! One lazily initialized bundle of handles into [`obs::global`], shared
-//! by the sorter, the group-by, the spill pipeline, and the prefetchers.
+//! by the run engine, the spill pipeline, and the prefetchers.
 //! Every call site gates on [`obs::enabled`] *before* touching [`m`], so a
 //! fully disabled run never registers anything — the first `m()` call is
 //! the registration, and it only happens on an enabled path.
@@ -43,18 +43,22 @@
 
 use std::sync::OnceLock;
 
-pub(crate) struct StreamMetrics {
+/// One engine's own metric set: `stream.*` for the sorter, `groupby.*`
+/// for the group-by ([`crate::RunReducer`] picks which).
+pub struct EngineMetrics {
     pub records_pushed: obs::Counter,
     pub spilled_runs: obs::Counter,
     pub spilled_bytes: obs::Counter,
-    pub sort_ns: obs::Histogram,
-    pub run_fill_pct: obs::Histogram,
+    /// Per-run reduce latency (`stream.sort_ns` / `groupby.aggregate_ns`).
+    pub reduce_ns: obs::Histogram,
+    /// Run occupancy at spill time (`stream.run_fill_pct`; sorter only).
+    pub run_fill_pct: Option<obs::Histogram>,
+}
 
-    pub gb_records_pushed: obs::Counter,
-    pub gb_spilled_runs: obs::Counter,
-    pub gb_spilled_bytes: obs::Counter,
+pub struct StreamMetrics {
+    pub sort: EngineMetrics,
+    pub groupby: EngineMetrics,
     pub gb_partial_aggregates: obs::Counter,
-    pub gb_aggregate_ns: obs::Histogram,
 
     pub backpressure_ns: obs::Histogram,
     pub write_ns: obs::Histogram,
@@ -87,16 +91,21 @@ pub(crate) fn m() -> &'static StreamMetrics {
     METRICS.get_or_init(|| {
         let reg = obs::global();
         StreamMetrics {
-            records_pushed: reg.counter("stream.records_pushed"),
-            spilled_runs: reg.counter("stream.spilled_runs"),
-            spilled_bytes: reg.counter("stream.spilled_bytes"),
-            sort_ns: reg.histogram("stream.sort_ns"),
-            run_fill_pct: reg.histogram("stream.run_fill_pct"),
-            gb_records_pushed: reg.counter("groupby.records_pushed"),
-            gb_spilled_runs: reg.counter("groupby.spilled_runs"),
-            gb_spilled_bytes: reg.counter("groupby.spilled_bytes"),
+            sort: EngineMetrics {
+                records_pushed: reg.counter("stream.records_pushed"),
+                spilled_runs: reg.counter("stream.spilled_runs"),
+                spilled_bytes: reg.counter("stream.spilled_bytes"),
+                reduce_ns: reg.histogram("stream.sort_ns"),
+                run_fill_pct: Some(reg.histogram("stream.run_fill_pct")),
+            },
+            groupby: EngineMetrics {
+                records_pushed: reg.counter("groupby.records_pushed"),
+                spilled_runs: reg.counter("groupby.spilled_runs"),
+                spilled_bytes: reg.counter("groupby.spilled_bytes"),
+                reduce_ns: reg.histogram("groupby.aggregate_ns"),
+                run_fill_pct: None,
+            },
             gb_partial_aggregates: reg.counter("groupby.partial_aggregates"),
-            gb_aggregate_ns: reg.histogram("groupby.aggregate_ns"),
             backpressure_ns: reg.histogram("spill.backpressure_ns"),
             write_ns: reg.histogram("spill.write_ns"),
             fsync_ns: reg.histogram("spill.fsync_ns"),

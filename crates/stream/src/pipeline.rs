@@ -10,9 +10,8 @@
 //!   channel.  The producer hands over a frozen, sorted run and immediately
 //!   starts filling a recycled buffer from the pipeline's pool; the writer
 //!   streams the run to disk (fsync included) in the background.  The
-//!   channel bound is the backpressure: at most
-//!   [`dtsort::StreamConfig::spill_pipeline_depth`] runs are in flight, and
-//!   each one is paid for by a budget share
+//!   channel bound is the backpressure: the engines run at most one run
+//!   in flight (`SPILL_PIPELINE_DEPTH`), paid for by a budget share
 //!   ([`dtsort::StreamConfig::spill_shares`]).
 //! * [`RunPrefetcher`] — per-run **merge read-ahead** that decodes record
 //!   blocks ahead of the k-way merge through a bounded channel sized by
@@ -561,7 +560,7 @@ impl<V: SpillValue> RunPrefetcher<V> {
     ///
     /// The floors below keep the reader functional without re-inflating a
     /// small share: merges only engage read-ahead when the per-run budget
-    /// is at least [`crate::sorter::MIN_PREFETCH_RUN_BUDGET`], so the
+    /// is at least [`crate::engine::MIN_PREFETCH_RUN_BUDGET`], so the
     /// splits here stay within the share the caller granted.
     pub fn spawn(
         io: &SpillIoHandle,

@@ -1,93 +1,17 @@
-//! The bounded-memory streaming sorter.
+//! The bounded-memory streaming sorter: the [`RunEngine`] with the
+//! sorting run reducer ([`SortRuns`]).
 
-use crate::pipeline::{PrefetchSource, RunPrefetcher, SpillPipeline};
+use crate::engine::{RunEngine, RunMerge, RunReducer, StreamStats};
+use crate::metrics::{EngineMetrics, StreamMetrics};
 use crate::spill::{
-    per_run_reader_budget, var_payload_bytes, var_payload_should_spill, with_transient_retry,
-    wrap_spill_err, write_run_with_retry, PodValue, RunReader, SpillSpace, SpillValue, SpilledRun,
-    VarValue,
+    per_run_reader_budget, sealed::Sealed, with_transient_retry, wrap_spill_err, PodValue,
+    RunReader, SpillValue,
 };
 use crate::spillio::SpillIoHandle;
-use dtsort::{sort_run_pairs_with, IntegerKey, RunReport, SortConfig, SpillIoMode, StreamConfig};
-use parlay::kway::{kway_merge_into, BlockSource, LoserTree, RunSource};
-use std::collections::VecDeque;
+use dtsort::{sort_run_pairs_with, IntegerKey, RunReport, SortConfig, StreamConfig};
+use parlay::kway::kway_merge_into;
 use std::io;
 use std::marker::PhantomData;
-
-/// Above this merge fan-in the read-ahead stage is skipped (one prefetch
-/// thread per run would be a thread explosion; the per-run buffer shares
-/// are tiny at that point anyway) and the merge reads synchronously.
-pub(crate) const MAX_PREFETCH_RUNS: usize = 64;
-
-/// Below this per-run share of [`StreamConfig::merge_read_buffer_bytes`]
-/// the read-ahead stage is also skipped: a prefetch thread double-buffers
-/// its budget, and at a few hundred bytes per buffer the channel overhead
-/// dwarfs the read it hides.  Merges that wanted read-ahead but lost it to
-/// either gate bump the `prefetch.disabled_merges` metric and are flagged
-/// on the returned stream ([`SortedStream::read_ahead_disabled`]).
-pub(crate) const MIN_PREFETCH_RUN_BUDGET: usize = 4096;
-
-/// Counters describing what a [`StreamSorter`] did.
-///
-/// `records_pushed` and `carried_heavy_keys` are always exact.  With
-/// pipelined spilling, `spilled_runs` / `spilled_bytes` count only runs
-/// *confirmed durable*, reconciled lazily at each `push`: a run still in
-/// flight to the background writer is not yet counted.  [`is_settled`]
-/// reports whether that lag currently exists; calling
-/// [`StreamSorter::flush_spills`] drains it, after which every counter is
-/// exact (and `is_settled` is `true`).
-///
-/// [`is_settled`]: StreamStats::is_settled
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Records accepted by `push` / `push_record` so far.  Counted per
-    /// accepted chunk, so a failed spill mid-push leaves every record the
-    /// sorter still owns counted (`records_pushed` always equals
-    /// [`StreamSorter::len`]).
-    pub records_pushed: u64,
-    /// Runs spilled to disk so far.
-    pub spilled_runs: usize,
-    /// Bytes written to spill files so far (on-disk, post-compression).
-    pub spilled_bytes: u64,
-    /// Bytes the same runs would have occupied in the uncompressed (flat)
-    /// spill encoding.  Equal to `spilled_bytes` when
-    /// [`StreamConfig::spill_compression`] is off (up to the flat format's
-    /// lack of block headers); the ratio `spilled_bytes /
-    /// spilled_raw_bytes` is the on-disk compression win.
-    pub spilled_raw_bytes: u64,
-    /// Heavy keys currently carried into the next run's sampling.
-    pub carried_heavy_keys: usize,
-    /// Transient spill-write failures that were retried (and eventually
-    /// succeeded) under [`StreamConfig::spill_retry`], across both the
-    /// synchronous and the pipelined writer.
-    pub spill_retries: u64,
-    /// Runs spilled synchronously while pipelining was on probation after
-    /// a writer failure.  Stops growing once the probation run count is
-    /// served and pipelining resumes.
-    pub degraded_syncs: u64,
-    /// Whether the spill counters are exact right now: `false` while runs
-    /// are in flight to the background spill writer (their bytes are not
-    /// yet in `spilled_runs` / `spilled_bytes`), `true` once reconciliation
-    /// has caught up.  Always `true` under
-    /// [`StreamConfig::synchronous_spill`];
-    /// [`StreamSorter::flush_spills`] forces it back to `true`.
-    pub is_settled: bool,
-}
-
-impl Default for StreamStats {
-    fn default() -> Self {
-        Self {
-            records_pushed: 0,
-            spilled_runs: 0,
-            spilled_bytes: 0,
-            spilled_raw_bytes: 0,
-            carried_heavy_keys: 0,
-            spill_retries: 0,
-            degraded_syncs: 0,
-            // Nothing in flight before the first pipelined spill.
-            is_settled: true,
-        }
-    }
-}
 
 /// A bounded-memory, out-of-core stable sorter over pushed record batches.
 ///
@@ -99,10 +23,11 @@ impl Default for StreamStats {
 /// DovetailSort's `O(n)` fast path in every run regardless of how the
 /// stream is chunked.  [`StreamSorter::finish`] k-way merges all runs with
 /// a loser tree into a sorted iterator; [`StreamSorter::finish_into`]
-/// merges in parallel into a caller-provided slice.
+/// merges in parallel into a caller-provided slice.  Buffering, spilling,
+/// failure recovery and the merge setup are the shared [`RunEngine`]'s.
 ///
 /// Values may be fixed-size [`PodValue`]s (spilled as raw byte images) or
-/// variable-length [`VarValue`]s such as `String` and `Vec<u8>` (spilled
+/// variable-length [`VarValue`](crate::VarValue)s such as `String` and `Vec<u8>` (spilled
 /// length-prefixed); see [`SpillValue`].  For variable-length values the
 /// sorter additionally tracks the buffered payload bytes and spills early
 /// once they reach one budget share
@@ -125,51 +50,49 @@ impl Default for StreamStats {
 /// assert_eq!(sorted.len(), 10_000);
 /// assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0));
 /// ```
-pub struct StreamSorter<K: IntegerKey, V: SpillValue = ()> {
-    cfg: StreamConfig,
-    /// The spill I/O backend every read and write goes through
-    /// ([`dtsort::StreamConfig::spill_io`]); possibly shared with sibling
-    /// engines by [`StreamSorter::with_config_and_io`].
-    io: SpillIoHandle,
-    pub(crate) run_capacity: usize,
-    buffer: Vec<(K, V)>,
-    /// Spilled payload bytes currently buffered (tracked only for
-    /// variable-length values; always 0 on the pod path).
-    buffered_value_bytes: usize,
-    runs: Vec<SpilledRun>,
-    /// Sorted runs whose spill write failed, reclaimed with their records
-    /// intact (in run order): retried by the next spill, merged from
-    /// memory by `finish` otherwise.
-    pending_runs: VecDeque<Vec<(K, V)>>,
-    /// Records currently in flight to the spill-writer thread.
-    in_flight_records: usize,
-    /// Runs currently in flight to the spill-writer thread.
-    in_flight_runs: usize,
-    /// Distinct name counter for synchronously written run files (the
-    /// pipelined writer numbers its own `run-p*` namespace).
-    sync_run_seq: usize,
-    /// `Some(n)` after a writer-side error surfaced: the sorter is on
-    /// *probation*, spilling synchronously (the error path converges onto
-    /// one code path) until `n` more clean synchronous spills have
-    /// succeeded, after which pipelining is re-enabled
-    /// ([`dtsort::SpillRetryPolicy::probation_spills`]).  `None` while
-    /// pipelining is allowed.
-    degraded: Option<u32>,
-    /// Runs sorted so far (labels the `sort_run` trace spans).
-    runs_sorted: usize,
-    /// Pipeline incarnations started so far.  Each gets its own run-file
-    /// namespace (`run-p{generation}-NNNNNN.bin`), so a pipeline restarted
-    /// after probation cannot collide with a previous incarnation's files.
-    pipeline_generation: usize,
+pub type StreamSorter<K, V = ()> = RunEngine<SortRuns<K, V>>;
+
+/// The sorter's run reducer: a stable DovetailSort of the buffer, seeded
+/// with the heavy keys the previous run confirmed.
+pub struct SortRuns<K, V> {
+    /// Heavy keys (ordered-`u64` domain) carried into the next run.
     carry: Vec<u64>,
-    // Field order matters: the pipeline must drop (joining its writer)
-    // before the spill space deletes the directory under it.
-    pipeline: Option<SpillPipeline<K, V>>,
-    space: Option<SpillSpace>,
-    stats: StreamStats,
-    /// Scoped obs enable for [`StreamConfig::trace`]; transferred to the
-    /// finished stream so recording covers the merge drain too.
-    trace_guard: Option<obs::EnableGuard>,
+    _records: PhantomData<fn() -> (K, V)>,
+}
+
+impl<K, V> Sealed for SortRuns<K, V> {}
+
+impl<K: IntegerKey, V: SpillValue> RunReducer for SortRuns<K, V> {
+    type Key = K;
+    type Input = V;
+    type RunKey = K;
+    type Output = V;
+    const FILE_STEM: &'static str = "run";
+    const SPAN: &'static str = "sort_run";
+
+    fn run_capacity(cfg: &StreamConfig) -> usize {
+        cfg.run_capacity(std::mem::size_of::<(K, V)>())
+    }
+
+    fn metrics(m: &StreamMetrics) -> &EngineMetrics {
+        &m.sort
+    }
+
+    /// Sorts the buffer in place and hands it over as the run; the
+    /// recycled `out` becomes the next buffer.
+    fn reduce(
+        &mut self,
+        buffer: &mut Vec<(K, V)>,
+        out: Vec<(K, V)>,
+        cfg: &StreamConfig,
+        stats: &mut StreamStats,
+    ) -> Vec<(K, V)> {
+        let report = V::sort_spill_run(buffer, &cfg.sort, &self.carry);
+        self.carry = report.heavy_keys;
+        self.carry.truncate(cfg.max_carried_heavy_keys);
+        stats.carried_heavy_keys = self.carry.len();
+        std::mem::replace(buffer, out)
+    }
 }
 
 impl<K: IntegerKey, V: SpillValue> Default for StreamSorter<K, V> {
@@ -194,53 +117,11 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// shares one batched worker pool (and its queue-depth budget) across
     /// every engine instead of giving each session its own pool.
     pub fn with_config_and_io(cfg: StreamConfig, io: SpillIoHandle) -> Self {
-        // Scoped, not sticky: tracing reverts when this engine (and any
-        // stream it returns) is dropped.
-        let trace_guard = cfg.trace.then(obs::scoped_enable);
-        let run_capacity = cfg.run_capacity(std::mem::size_of::<(K, V)>());
-        Self {
-            cfg,
-            io,
-            run_capacity,
-            buffer: Vec::new(),
-            buffered_value_bytes: 0,
-            runs: Vec::new(),
-            pending_runs: VecDeque::new(),
-            in_flight_records: 0,
-            in_flight_runs: 0,
-            sync_run_seq: 0,
-            degraded: None,
-            runs_sorted: 0,
-            pipeline_generation: 0,
+        let reducer = SortRuns {
             carry: Vec::new(),
-            pipeline: None,
-            space: None,
-            stats: StreamStats::default(),
-            trace_guard,
-        }
-    }
-
-    /// Re-reads the budget (which a live [`dtsort::BudgetHandle`] may have
-    /// resized since the last check) into the run capacity.  Called on
-    /// every push chunk, so a shrunk grant takes effect mid-stream as an
-    /// early spill instead of an over-budget buffer.
-    fn refresh_run_capacity(&mut self) {
-        if self.cfg.budget.is_some() {
-            self.run_capacity = self.cfg.run_capacity(std::mem::size_of::<(K, V)>());
-        }
-    }
-
-    /// Applies the current budget grant immediately: re-reads the
-    /// (possibly shrunk) [`dtsort::BudgetHandle`] and spills the buffered
-    /// run early if it no longer fits the grant.  `push` re-checks per
-    /// chunk anyway; this hook exists for granters (e.g. a memory
-    /// governor) reclaiming from a session that is idle between pushes.
-    pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.refresh_run_capacity();
-        if self.should_spill() {
-            self.spill_run()?;
-        }
-        Ok(())
+            _records: PhantomData,
+        };
+        Self::with_reducer(reducer, cfg, io)
     }
 
     /// Total records accepted so far (buffered, in flight to the writer,
@@ -248,7 +129,7 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     pub fn len(&self) -> usize {
         self.runs.iter().map(|r| r.len).sum::<usize>()
             + self.in_flight_records
-            + self.pending_runs.iter().map(|r| r.len()).sum::<usize>()
+            + self.pending_runs.iter().map(Vec::len).sum::<usize>()
             + self.buffer.len()
     }
 
@@ -256,350 +137,9 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
         self.len() == 0
     }
 
-    /// Number of runs the final merge will see: spilled runs (including
-    /// those still in flight to the writer), runs pending a spill retry,
-    /// plus the in-memory tail, if any records are currently buffered.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-            + self.in_flight_runs
-            + self.pending_runs.len()
-            + usize::from(!self.buffer.is_empty())
-    }
-
-    /// Counters (spills, carried heavy keys, ...).
-    ///
-    /// With pipelined spilling, `spilled_runs` / `spilled_bytes` count runs
-    /// confirmed durable, reconciled at every `push`;
-    /// [`StreamStats::is_settled`] tells whether they are exact right now,
-    /// and [`StreamSorter::flush_spills`] makes them exact.
-    pub fn stats(&self) -> &StreamStats {
-        &self.stats
-    }
-
-    /// Blocks until every run handed to the background spill writer is
-    /// durable on disk, surfacing any writer-side error.  Afterwards
-    /// [`StreamSorter::stats`] is exact.  A no-op under
-    /// [`StreamConfig::synchronous_spill`].
-    pub fn flush_spills(&mut self) -> io::Result<()> {
-        if let Some(pipeline) = &self.pipeline {
-            pipeline.flush();
-        }
-        self.reconcile_pipeline()
-    }
-
     /// Heavy keys (ordered-`u64` domain) carried into the next run.
     pub fn carried_heavy_keys(&self) -> &[u64] {
-        &self.carry
-    }
-
-    fn buffer_needs_spill(&self) -> bool {
-        !self.buffer.is_empty()
-            && (self.buffer.len() >= self.run_capacity
-                || var_payload_should_spill::<V>(
-                    self.buffered_value_bytes,
-                    self.cfg.effective_budget_bytes(),
-                    self.cfg.spill_shares(),
-                ))
-    }
-
-    fn should_spill(&self) -> bool {
-        !self.pending_runs.is_empty() || self.buffer_needs_spill()
-    }
-
-    /// Appends a batch of records, spilling full runs to disk as needed.
-    ///
-    /// On a spill error the sorter still takes ownership of the *whole*
-    /// slice before the error surfaces: the un-consumed tail is buffered
-    /// (transiently past the run capacity, bounded by the slice length),
-    /// so a caller that treats the error as transient and keeps pushing
-    /// never loses the records it already handed over.
-    pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
-        let mut rest = records;
-        loop {
-            self.refresh_run_capacity();
-            if self.should_spill() {
-                if let Err(e) = self.spill_run() {
-                    // A failed spill parks its run in the pending queue,
-                    // but must not cost the caller the rest of the slice:
-                    // absorb it, then report.  The next successful spill
-                    // drains the excess.
-                    self.buffer_chunk(rest);
-                    return Err(e);
-                }
-            }
-            if rest.is_empty() {
-                return Ok(());
-            }
-            // A shrunk grant can put the buffer over the new capacity; the
-            // saturating space is then 0 and the spill above drains it on
-            // the next iteration.
-            let space = self.run_capacity.saturating_sub(self.buffer.len());
-            let take = space.min(rest.len());
-            let (chunk, tail) = rest.split_at(take);
-            self.buffer_chunk(chunk);
-            rest = tail;
-        }
-    }
-
-    /// Moves `chunk` into the run buffer, keeping byte and record
-    /// accounting exact (`records_pushed == len()` even on error paths).
-    fn buffer_chunk(&mut self, chunk: &[(K, V)]) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.buffer.extend_from_slice(chunk);
-        self.buffered_value_bytes += var_payload_bytes(chunk);
-        self.stats.records_pushed += chunk.len() as u64;
-        if obs::enabled() {
-            crate::metrics::m().records_pushed.add(chunk.len() as u64);
-        }
-    }
-
-    /// Appends a single record (no clone of the value).
-    pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
-        // Buffer the record *before* any spill attempt: on a spill error
-        // the caller's (possibly only) copy of the value is then owned by
-        // the sorter rather than dropped on the error return.
-        if V::SPILL_FIXED_SIZE.is_none() {
-            self.buffered_value_bytes += value.spill_size();
-        }
-        self.buffer.push((key, value));
-        self.stats.records_pushed += 1;
-        if obs::enabled() {
-            crate::metrics::m().records_pushed.incr();
-        }
-        self.refresh_run_capacity();
-        if self.should_spill() {
-            self.spill_run()?;
-        }
-        Ok(())
-    }
-
-    /// Sorts the buffered run (seeding detection with the carried heavy
-    /// keys) and updates the carry from its report.
-    fn sort_buffer(&mut self) {
-        let traced = obs::enabled() && !self.buffer.is_empty();
-        let start = traced.then(std::time::Instant::now);
-        let report = {
-            let _span = traced.then(|| obs::span!("sort_run", run = self.runs_sorted));
-            V::sort_spill_run(&mut self.buffer, &self.cfg.sort, &self.carry)
-        };
-        if let Some(start) = start {
-            let metrics = crate::metrics::m();
-            metrics.sort_ns.record_duration(start.elapsed());
-            metrics
-                .run_fill_pct
-                .record((self.buffer.len() * 100 / self.run_capacity.max(1)) as u64);
-        }
-        if !self.buffer.is_empty() {
-            self.runs_sorted += 1;
-        }
-        self.carry = report.heavy_keys;
-        self.carry.truncate(self.cfg.max_carried_heavy_keys);
-        self.stats.carried_heavy_keys = self.carry.len();
-    }
-
-    /// Secures the spill directory, creating it on first use.
-    fn ensure_space(&mut self) -> io::Result<()> {
-        if self.space.is_none() {
-            self.space = Some(SpillSpace::create(self.cfg.spill_dir.as_ref())?);
-        }
-        Ok(())
-    }
-
-    fn spill_run(&mut self) -> io::Result<()> {
-        // The directory is secured before the buffer is touched, so a
-        // failure here leaves every record buffered (and counted).
-        self.ensure_space()?;
-        // Runs reclaimed from a failed write are retried first, in run
-        // order, so the merge's smaller-index-wins tie rule keeps encoding
-        // push order.
-        self.retry_pending_runs()?;
-        if !self.buffer_needs_spill() {
-            return Ok(());
-        }
-        if self.cfg.synchronous_spill || self.degraded.is_some() {
-            self.sort_buffer();
-            let run = std::mem::take(&mut self.buffer);
-            self.buffered_value_bytes = 0;
-            self.write_run_sync(run)
-        } else {
-            self.spill_run_pipelined()
-        }
-    }
-
-    /// Retries runs whose earlier spill write failed (synchronously: the
-    /// pipeline is torn down by the time pending runs exist).
-    fn retry_pending_runs(&mut self) -> io::Result<()> {
-        while let Some(run) = self.pending_runs.pop_front() {
-            if let Err(e) = self.write_run_sync_inner(&run) {
-                self.pending_runs.push_front(run);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes one sorted run inline on the calling thread; on failure the
-    /// run's records are reclaimed into the pending queue.
-    fn write_run_sync(&mut self, run: Vec<(K, V)>) -> io::Result<()> {
-        if let Err(e) = self.write_run_sync_inner(&run) {
-            self.pending_runs.push_back(run);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn write_run_sync_inner(&mut self, run: &[(K, V)]) -> io::Result<()> {
-        let dir = &self.space.as_ref().expect("spill space secured").dir;
-        let path = dir.join(format!("run-s{:06}.bin", self.sync_run_seq));
-        let _span = obs::enabled().then(|| obs::span!("spill_write", run = self.sync_run_seq));
-        let spilled = match write_run_with_retry(
-            &self.io,
-            &path,
-            run,
-            self.cfg.spill_compression,
-            &self.cfg.spill_retry,
-        ) {
-            Ok(spilled) => spilled,
-            Err(e) => {
-                std::fs::remove_file(&path).ok();
-                let attempted: u64 = run.iter().map(|(_, v)| 8 + v.spill_size() as u64).sum();
-                return Err(wrap_spill_err(&path, self.sync_run_seq, attempted, e));
-            }
-        };
-        self.sync_run_seq += 1;
-        self.stats.spilled_runs += 1;
-        self.stats.spilled_bytes += spilled.bytes;
-        self.stats.spilled_raw_bytes += spilled.raw_bytes;
-        self.stats.spill_retries += spilled.retries as u64;
-        if obs::enabled() {
-            let metrics = crate::metrics::m();
-            metrics.spilled_runs.incr();
-            metrics.spilled_bytes.add(spilled.bytes);
-        }
-        self.runs.push(spilled);
-        self.note_degraded_sync();
-        Ok(())
-    }
-
-    /// One clean synchronous spill while on probation: count it, and once
-    /// [`dtsort::SpillRetryPolicy::probation_spills`] of them have
-    /// succeeded, lift the probation so the next spill restarts the
-    /// pipeline.  A no-op outside probation (including under
-    /// [`StreamConfig::synchronous_spill`], which is a choice, not a
-    /// degradation).
-    fn note_degraded_sync(&mut self) {
-        let Some(left) = self.degraded else { return };
-        self.stats.degraded_syncs += 1;
-        if obs::enabled() {
-            crate::metrics::m().degraded_syncs.incr();
-        }
-        let left = left.saturating_sub(1);
-        self.degraded = (left > 0).then_some(left);
-    }
-
-    /// Hands the sorted buffer to the background writer and keeps going
-    /// with a recycled buffer: run `N + 1` is sorted while run `N` streams
-    /// to disk.
-    fn spill_run_pipelined(&mut self) -> io::Result<()> {
-        if self.pipeline.is_none() {
-            let dir = self
-                .space
-                .as_ref()
-                .expect("spill space secured")
-                .dir
-                .clone();
-            let generation = self.pipeline_generation;
-            self.pipeline_generation += 1;
-            self.pipeline = Some(SpillPipeline::start(
-                self.io.clone(),
-                dir,
-                self.cfg.spill_pipeline_depth,
-                format!("run-p{generation}-"),
-                self.cfg.spill_compression,
-                self.cfg.spill_retry,
-            ));
-        }
-        self.sort_buffer();
-        let pipeline = self.pipeline.as_mut().expect("pipeline just started");
-        let replacement = pipeline.recycled_buffer().unwrap_or_default();
-        let run = std::mem::replace(&mut self.buffer, replacement);
-        self.buffered_value_bytes = 0;
-        self.in_flight_records += run.len();
-        self.in_flight_runs += 1;
-        // The run's bytes will not reach the spill counters until the
-        // writer confirms them durable.
-        self.stats.is_settled = false;
-        pipeline.submit(run); // blocks while the pipeline is at depth
-        self.reconcile_pipeline()
-    }
-
-    /// Accounts runs the writer has completed and surfaces any writer-side
-    /// error; on error the pipeline is torn down, its unwritten runs are
-    /// reclaimed as pending, and the sorter falls back to synchronous
-    /// spilling.
-    fn reconcile_pipeline(&mut self) -> io::Result<()> {
-        let (completed, error) = match &self.pipeline {
-            None => return Ok(()),
-            Some(p) => (p.drain_completed(), p.poll_error()),
-        };
-        self.account_completed(completed);
-        if let Some(e) = error {
-            self.teardown_pipeline();
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn account_completed(&mut self, completed: Vec<SpilledRun>) {
-        for run in completed {
-            self.in_flight_records -= run.len;
-            self.in_flight_runs -= 1;
-            self.stats.spilled_runs += 1;
-            self.stats.spilled_bytes += run.bytes;
-            self.stats.spilled_raw_bytes += run.raw_bytes;
-            self.stats.spill_retries += run.retries as u64;
-            if obs::enabled() {
-                let metrics = crate::metrics::m();
-                metrics.spilled_runs.incr();
-                metrics.spilled_bytes.add(run.bytes);
-            }
-            self.runs.push(run);
-        }
-        if self.in_flight_runs == 0 {
-            self.stats.is_settled = true;
-        }
-    }
-
-    /// Joins the writer, reclaims everything it did not write, and switches
-    /// to synchronous spilling.  Returns the writer's error if one was
-    /// still unreported.
-    fn teardown_pipeline(&mut self) -> Option<io::Error> {
-        let pipeline = self.pipeline.take()?;
-        let closed = pipeline.close();
-        self.account_completed(closed.completed);
-        for run in closed.failed {
-            self.in_flight_records -= run.len();
-            self.in_flight_runs -= 1;
-            self.pending_runs.push_back(run);
-        }
-        // Nothing is in flight any more: completed runs were accounted
-        // above and failed ones reclaimed as pending.
-        self.stats.is_settled = true;
-        // Probation, not a life sentence: spill synchronously until enough
-        // clean spills prove the fault was transient, then re-pipeline.
-        self.degraded = Some(self.cfg.spill_retry.probation_spills.max(1));
-        closed.error
-    }
-
-    /// Waits out the spill pipeline before a final merge; a writer error
-    /// that never got the chance to surface on a `push` surfaces here.
-    fn close_pipeline(&mut self) -> io::Result<()> {
-        match self.teardown_pipeline() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        &self.reducer.carry
     }
 
     /// Finishes the sort, returning a streaming sorted iterator.
@@ -616,40 +156,12 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// per-run buffer share drops below 4 KiB, read-ahead falls back to
     /// synchronous reads — [`SortedStream::read_ahead_disabled`] and
     /// [`SortedStream::prefetch_capped`] report when that happened.
-    pub fn finish(mut self) -> io::Result<SortedStream<K, V>> {
-        self.close_pipeline()?;
-        self.sort_buffer();
-        let total = self.len();
-        let (mut cursors, read_ahead_disabled, prefetch_capped) =
-            open_run_cursors::<V>(&self.runs, &self.cfg, &self.io)?;
-        for run in self.pending_runs.drain(..) {
-            let mem: Vec<(u64, V)> = run
-                .into_iter()
-                .map(|(k, v)| (k.to_ordered_u64(), v))
-                .collect();
-            cursors.push(RunCursor::from_memory(mem));
-        }
-        if !self.buffer.is_empty() {
-            let mem: Vec<(u64, V)> = self
-                .buffer
-                .drain(..)
-                .map(|(k, v)| (k.to_ordered_u64(), v))
-                .collect();
-            cursors.push(RunCursor::from_memory(mem));
-        }
+    pub fn finish(self) -> io::Result<SortedStream<K, V>> {
+        let remaining = self.len();
+        let (merge, _) = self.into_merge()?;
         Ok(SortedStream {
-            tree: LoserTree::new(cursors, V::spill_record_lt),
-            remaining: total,
-            read_ahead_disabled,
-            prefetch_capped,
-            // Records the merge phase as one span from here until the
-            // stream is dropped, so prefetch spans can be shown (and
-            // asserted) to overlap it.
-            _merge_span: obs::enabled().then(|| obs::span!("merge")),
-            // The scoped enable moves to the stream so the merge drain
-            // records too; it reverts when the stream drops.
-            _trace: self.trace_guard.take(),
-            _space: self.space.take(),
+            merge,
+            remaining,
             _key: PhantomData,
         })
     }
@@ -673,9 +185,9 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
         // the span the streaming [`StreamSorter::finish`] path records.
         let _merge_span = obs::enabled().then(|| obs::span!("merge"));
         self.close_pipeline()?;
-        self.sort_buffer();
+        let tail = self.reduce_run(Vec::new());
         if self.runs.is_empty() && self.pending_runs.is_empty() {
-            for (slot, rec) in out.iter_mut().zip(self.buffer.drain(..)) {
+            for (slot, rec) in out.iter_mut().zip(tail) {
                 *slot = rec;
             }
             return Ok(());
@@ -711,7 +223,6 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
         // Runs reclaimed from failed writes are already in memory; they
         // follow the disk runs in run order.
         loaded.extend(self.pending_runs.drain(..));
-        let tail = std::mem::take(&mut self.buffer);
         V::merge_spill_runs_into(loaded, tail, out);
         Ok(())
     }
@@ -725,16 +236,6 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     }
 }
 
-/// Pod-path run sort: records move through DovetailSort directly (the
-/// pre-variable-length fast path, byte-for-byte).
-pub(crate) fn pod_sort_run<K: IntegerKey, V: PodValue>(
-    buffer: &mut [(K, V)],
-    cfg: &SortConfig,
-    carry: &[u64],
-) -> RunReport {
-    sort_run_pairs_with(buffer, cfg, carry)
-}
-
 /// Var-path run sort: DovetailSort moves only `(ordered key, index)` tags;
 /// the owned values are permuted once afterwards.  Stable because the sort
 /// is stable and tags are unique.  The permutation goes through a
@@ -742,7 +243,7 @@ pub(crate) fn pod_sort_run<K: IntegerKey, V: PodValue>(
 /// than in-place cycle-following: two straight-line passes beat chased
 /// cycles on large runs, and the inline records are a small fraction of a
 /// var-length run's footprint.
-pub(crate) fn var_sort_run<K: IntegerKey, V: VarValue>(
+pub(crate) fn var_sort_run<K: IntegerKey, V: SpillValue>(
     buffer: &mut Vec<(K, V)>,
     cfg: &SortConfig,
     carry: &[u64],
@@ -776,13 +277,16 @@ pub(crate) fn pod_merge_runs_into<K: IntegerKey, V: PodValue>(
 /// Var-path final merge: the parallel k-way merge runs over pod
 /// `(ordered key, slot)` tags, then the owned records are gathered by tag.
 /// Ties favour earlier runs and slots increase within a run, so stability
-/// matches the pod path exactly.
-pub(crate) fn var_merge_runs_into<K: IntegerKey, V: VarValue>(
+/// matches the pod path exactly.  Values that embed a full key
+/// ([`SpillValue::spill_embedded_key`], e.g. string-keyed records whose
+/// ordered key is only a prefix) break ordered-key ties on those bytes.
+pub(crate) fn var_merge_runs_into<K: IntegerKey, V: SpillValue>(
     runs: Vec<Vec<(K, V)>>,
     tail: Vec<(K, V)>,
     out: &mut [(K, V)],
 ) {
     let mut key_runs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(runs.len() + 1);
+    let mut embedded: Vec<Option<&[u8]>> = Vec::with_capacity(out.len());
     let mut base = 0u64;
     for run in runs.iter().chain(std::iter::once(&tail)) {
         key_runs.push(
@@ -791,14 +295,16 @@ pub(crate) fn var_merge_runs_into<K: IntegerKey, V: VarValue>(
                 .map(|(i, (k, _))| (k.to_ordered_u64(), base + i as u64))
                 .collect(),
         );
+        embedded.extend(run.iter().map(|(_, v)| v.spill_embedded_key()));
         base += run.len() as u64;
     }
     debug_assert_eq!(base as usize, out.len());
     let slices: Vec<&[(u64, u64)]> = key_runs.iter().map(|r| r.as_slice()).collect();
     let mut merged = vec![(0u64, 0u64); out.len()];
     kway_merge_into(&slices, &mut merged, &|a: &(u64, u64), b: &(u64, u64)| {
-        a.0 < b.0
+        (a.0, embedded[a.1 as usize]) < (b.0, embedded[b.1 as usize])
     });
+    drop(embedded);
     let mut slots: Vec<Option<(K, V)>> = Vec::with_capacity(out.len());
     for run in runs {
         slots.extend(run.into_iter().map(Some));
@@ -811,188 +317,6 @@ pub(crate) fn var_merge_runs_into<K: IntegerKey, V: VarValue>(
     }
 }
 
-/// Opens one merge cursor per spilled run, splitting
-/// [`StreamConfig::merge_read_buffer_bytes`] across them.  With read-ahead
-/// resolved on ([`StreamConfig::wants_merge_read_ahead`]) and a sane
-/// fan-in, each run gets a read-ahead producer decoding blocks ahead of
-/// the merge; otherwise the cursors read synchronously.  Shared by the
-/// sorter and the group-by so the two merge paths cannot drift.
-///
-/// Read-ahead is silently a no-op in two regimes, both reported through
-/// the returned flags (and the `prefetch.disabled_merges` /
-/// `prefetch.capped_merges` metrics) rather than only through slower
-/// merges: a fan-in above the backend's cap ([`MAX_PREFETCH_RUNS`] under
-/// `Blocking`, where one thread per run would be a thread explosion; the
-/// in-flight cap under `Batched`, where more runs than queue slots would
-/// starve each other), and a per-run budget share below
-/// [`MIN_PREFETCH_RUN_BUDGET`] (the double-buffered blocks would be too
-/// small to hide any read latency).  Returns `(cursors,
-/// read_ahead_disabled, capped_by_fan_in)`; the second flag covers both
-/// regimes, the third specifically the fan-in cap.
-pub(crate) fn open_run_cursors<V: SpillValue>(
-    runs: &[SpilledRun],
-    cfg: &StreamConfig,
-    io: &SpillIoHandle,
-) -> io::Result<(Vec<RunCursor<V>>, bool, bool)> {
-    let reader_budget = per_run_reader_budget(cfg.merge_read_buffer_bytes, runs.len());
-    let wants = cfg.wants_merge_read_ahead() && !runs.is_empty();
-    let fan_in_cap = match io.mode() {
-        SpillIoMode::Blocking => MAX_PREFETCH_RUNS,
-        // One in-flight read per run: more runs than queue slots would
-        // leave some feeds permanently starved, so cap at the depth.
-        SpillIoMode::Batched => io.max_inflight().max(1),
-    };
-    let capped = wants && runs.len() > fan_in_cap;
-    let prefetch = wants && !capped && reader_budget >= MIN_PREFETCH_RUN_BUDGET;
-    let read_ahead_disabled = wants && !prefetch;
-    if obs::enabled() {
-        if read_ahead_disabled {
-            crate::metrics::m().prefetch_disabled_merges.incr();
-        }
-        if capped {
-            crate::metrics::m().prefetch_capped_merges.incr();
-        }
-    }
-    let mut cursors: Vec<RunCursor<V>> = Vec::with_capacity(runs.len() + 2);
-    if prefetch {
-        // Spawn every producer before priming any cursor, so all the
-        // first blocks decode in parallel.  Open-time failures (the only
-        // ones with a clean retry point) are retried per the policy.
-        let prefetchers: Vec<RunPrefetcher<V>> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, run)| {
-                with_transient_retry(&cfg.spill_retry, || {
-                    RunPrefetcher::spawn(io, run, reader_budget, i)
-                })
-                .map(|(p, _)| p)
-                .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))
-            })
-            .collect::<io::Result<_>>()?;
-        for p in prefetchers {
-            cursors.push(RunCursor::from_prefetch(p.into_source())?);
-        }
-    } else {
-        for (i, run) in runs.iter().enumerate() {
-            let cursor = with_transient_retry(&cfg.spill_retry, || {
-                RunCursor::open_disk(io, run, reader_budget)
-            })
-            .map(|(c, _)| c)
-            .map_err(|e| wrap_spill_err(&run.path, i, run.bytes, e))?;
-            cursors.push(cursor);
-        }
-    }
-    Ok((cursors, read_ahead_disabled, capped))
-}
-
-type Refill<V> = Box<dyn FnMut() -> Option<Vec<(u64, V)>> + Send>;
-
-enum CursorInner<V: SpillValue> {
-    Disk(RunReader<V>),
-    Memory(std::vec::IntoIter<(u64, V)>),
-    Blocks(BlockSource<(u64, V), Refill<V>>),
-}
-
-/// One run's cursor in the final merge ([`parlay::kway::RunSource`]).
-/// Shared with the streaming group-by merge ([`crate::groupby`]).
-pub(crate) struct RunCursor<V: SpillValue> {
-    inner: CursorInner<V>,
-    current: Option<(u64, V)>,
-}
-
-impl<V: SpillValue> RunCursor<V> {
-    pub(crate) fn open_disk(
-        io: &SpillIoHandle,
-        run: &SpilledRun,
-        buffer_bytes: usize,
-    ) -> io::Result<Self> {
-        let mut reader = RunReader::open(io, run, buffer_bytes)?;
-        let current = reader.next_record()?;
-        Ok(Self {
-            inner: CursorInner::Disk(reader),
-            current,
-        })
-    }
-
-    pub(crate) fn from_memory(records: Vec<(u64, V)>) -> Self {
-        let mut iter = records.into_iter();
-        let current = iter.next();
-        Self {
-            inner: CursorInner::Memory(iter),
-            current,
-        }
-    }
-
-    /// A cursor fed by a [`RunPrefetcher`]'s batch source.  The first
-    /// block is received here, so early read errors surface as a `Result`
-    /// exactly like [`RunCursor::open_disk`]'s eager first read; errors in
-    /// later blocks panic mid-merge (documented on [`SortedStream`]).
-    pub(crate) fn from_prefetch(mut src: PrefetchSource<V>) -> io::Result<Self> {
-        let mut first = match src.recv() {
-            Some(res) => Some(res?),
-            None => None, // empty run
-        };
-        let refill: Refill<V> = Box::new(move || {
-            if let Some(block) = first.take() {
-                if obs::enabled() {
-                    crate::metrics::m().blocks_consumed.incr();
-                }
-                return Some(block);
-            }
-            // The receive is where the merge stalls when the read-ahead
-            // is not actually ahead; record the wait so the prefetch
-            // stage's effectiveness is measurable.
-            let stall_start = obs::enabled().then(std::time::Instant::now);
-            let received = src.recv();
-            if let Some(start) = stall_start {
-                crate::metrics::m()
-                    .prefetch_stall_ns
-                    .record_duration(start.elapsed());
-            }
-            match received {
-                Some(Ok(block)) => {
-                    if obs::enabled() {
-                        crate::metrics::m().blocks_consumed.incr();
-                    }
-                    Some(block)
-                }
-                Some(Err(e)) => panic!("I/O error reading spilled run: {e}"),
-                None => None, // clean end of run
-            }
-        });
-        let mut source = BlockSource::new(refill);
-        let current = source.pop();
-        Ok(Self {
-            inner: CursorInner::Blocks(source),
-            current,
-        })
-    }
-}
-
-impl<V: SpillValue> RunSource for RunCursor<V> {
-    type Item = (u64, V);
-
-    fn peek(&self) -> Option<&(u64, V)> {
-        self.current.as_ref()
-    }
-
-    fn pop(&mut self) -> Option<(u64, V)> {
-        let item = self.current.take()?;
-        self.current = match &mut self.inner {
-            CursorInner::Memory(iter) => iter.next(),
-            // The merge happens mid-iteration where no Result channel
-            // exists; a read failure on a spill file we just wrote is an
-            // environment fault, reported by panic (documented on
-            // `SortedStream`).
-            CursorInner::Disk(reader) => reader
-                .next_record()
-                .unwrap_or_else(|e| panic!("I/O error reading spilled run: {e}")),
-            CursorInner::Blocks(source) => source.pop(),
-        };
-        Some(item)
-    }
-}
-
 /// Streaming sorted output of a [`StreamSorter`] (ascending, stable).
 ///
 /// Holds the spill directory alive until dropped; the directory and its
@@ -1000,21 +324,10 @@ impl<V: SpillValue> RunSource for RunCursor<V> {
 /// [`StreamSorter::finish`]; an I/O error in the middle of iteration
 /// panics (the spill files live in a directory this process just wrote).
 pub struct SortedStream<K: IntegerKey, V: SpillValue> {
-    tree: MergeTree<V>,
+    merge: RunMerge<V>,
     remaining: usize,
-    read_ahead_disabled: bool,
-    prefetch_capped: bool,
-    /// Open `merge` trace span; recorded when the stream is dropped.
-    _merge_span: Option<obs::SpanGuard>,
-    /// Keeps [`StreamConfig::trace`]'s scoped enable alive through the
-    /// merge drain (the span above is recorded on drop, while tracing is
-    /// still on: [`obs::SpanGuard`] captures its enable state at start).
-    _trace: Option<obs::EnableGuard>,
-    _space: Option<SpillSpace>,
     _key: PhantomData<K>,
 }
-
-type MergeTree<V> = LoserTree<RunCursor<V>, fn(&(u64, V), &(u64, V)) -> bool>;
 
 impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
     /// Whether this merge *wanted* read-ahead
@@ -1027,7 +340,7 @@ impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
     /// buffer (or the memory budget, to get fewer, larger runs) to re-arm
     /// the read-ahead.
     pub fn read_ahead_disabled(&self) -> bool {
-        self.read_ahead_disabled
+        self.merge.read_ahead_disabled
     }
 
     /// Whether read-ahead was disabled *specifically* by the fan-in cap
@@ -1035,7 +348,7 @@ impl<K: IntegerKey, V: SpillValue> SortedStream<K, V> {
     /// counted by the `prefetch.capped_merges` metric).  Under `Batched`,
     /// raise [`StreamConfig::spill_io_queue_depth`] to lift the cap.
     pub fn prefetch_capped(&self) -> bool {
-        self.prefetch_capped
+        self.merge.prefetch_capped
     }
 }
 
@@ -1043,7 +356,7 @@ impl<K: IntegerKey, V: SpillValue> Iterator for SortedStream<K, V> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<(K, V)> {
-        let (key, value) = self.tree.pop()?;
+        let (key, value) = self.merge.tree.pop()?;
         self.remaining -= 1;
         Some((K::from_ordered_u64(key), value))
     }
@@ -1058,6 +371,7 @@ impl<K: IntegerKey, V: SpillValue> ExactSizeIterator for SortedStream<K, V> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtsort::SpillIoMode;
     use parlay::random::Rng;
 
     fn tiny_cfg(budget: usize) -> StreamConfig {
@@ -1367,64 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_shrink_is_respected_by_every_later_push() {
-        // Regression (governor reclaim): `run_capacity` was read once at
-        // construction, so shrinking a live grant changed nothing.  Now a
-        // [`dtsort::BudgetHandle`] shrink must take effect on the next
-        // chunk: buffered + in-flight bytes never exceed the current
-        // grant once the pre-shrink backlog drains.
-        let handle = dtsort::BudgetHandle::new(64 << 10);
-        let cfg = StreamConfig {
-            merge_read_ahead: Some(true),
-            sort: dtsort::SortConfig {
-                base_case_threshold: 64,
-                ..Default::default()
-            },
-            ..StreamConfig::with_budget_handle(handle.clone())
-        };
-        let record_size = std::mem::size_of::<(u64, u64)>();
-        let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config(cfg);
-        let initial_capacity = sorter.run_capacity;
-        let rng = Rng::new(31);
-        let mut pushed: Vec<(u64, u64)> = Vec::new();
-        for step in 0..40usize {
-            if step == 15 {
-                // The governor reclaims 7/8 of the grant from a live
-                // session: the hook spills early rather than erroring,
-                // and the old in-flight backlog is drained right here.
-                handle.set(8 << 10);
-                sorter.shrink_to_budget().unwrap();
-                sorter.flush_spills().unwrap();
-                assert!(
-                    sorter.run_capacity < initial_capacity,
-                    "capacity must track the shrunk grant"
-                );
-            }
-            let batch: Vec<(u64, u64)> = (0..512u64)
-                .map(|i| {
-                    let tag = (step as u64) * 512 + i;
-                    (rng.ith(tag), tag)
-                })
-                .collect();
-            pushed.extend_from_slice(&batch);
-            sorter.push(&batch).unwrap();
-            if step >= 15 {
-                let held_bytes = (sorter.buffer.len() + sorter.in_flight_records) * record_size;
-                assert!(
-                    held_bytes <= handle.get(),
-                    "step {step}: {held_bytes} held bytes exceed the \
-                     {} byte grant",
-                    handle.get()
-                );
-            }
-        }
-        let got = sorter.finish_vec().unwrap();
-        let mut want = pushed;
-        want.sort_by_key(|r| r.0);
-        assert_eq!(got, want, "shrink must not perturb the sorted output");
-    }
-
-    #[test]
     fn concurrent_sorters_in_one_process_use_distinct_spill_dirs() {
         // Regression (spill-dir collision): the spill directory name was
         // derived from the pid alone, so two live sorters in one process
@@ -1469,6 +725,7 @@ mod tests {
     // -----------------------------------------------------------------
 
     use crate::spill::sealed::Sealed;
+    use crate::spill::VarValue;
     use std::io::{Read, Write};
     use std::sync::atomic::{AtomicI64, Ordering};
     use std::sync::Arc;

@@ -320,7 +320,9 @@ pub trait SpillValue: Clone + Send + Sync + 'static + sealed::Sealed {
     fn spill_placeholder() -> Self;
 
     /// Stably sorts one buffered run by key, seeding heavy-key detection
-    /// with `carry` (see [`dtsort::sort_run_pairs_with`]).
+    /// with `carry` (see [`dtsort::sort_run_pairs_with`]).  The default is
+    /// the variable-length path, which sorts `(key, index)` tags and
+    /// permutes the owned values once.
     #[doc(hidden)]
     fn sort_spill_run<K: IntegerKey>(
         buffer: &mut Vec<(K, Self)>,
@@ -328,17 +330,25 @@ pub trait SpillValue: Clone + Send + Sync + 'static + sealed::Sealed {
         carry: &[u64],
     ) -> RunReport
     where
-        Self: Sized;
+        Self: Sized,
+    {
+        crate::sorter::var_sort_run(buffer, cfg, carry)
+    }
 
     /// Stably k-way merges the sorted `runs` plus the sorted in-memory
     /// `tail` into `out` (ties favour earlier runs; the tail is last).
+    /// The default is the variable-length path, which merges
+    /// `(key, slot)` tags and gathers the owned values once.
     #[doc(hidden)]
     fn merge_spill_runs_into<K: IntegerKey>(
         runs: Vec<Vec<(K, Self)>>,
         tail: Vec<(K, Self)>,
         out: &mut [(K, Self)],
     ) where
-        Self: Sized;
+        Self: Sized,
+    {
+        crate::sorter::var_merge_runs_into(runs, tail, out)
+    }
 
     /// Strict-weak order of merge records, used by the final streaming
     /// loser tree.  The default compares ordered-`u64` keys alone; values
@@ -438,10 +448,10 @@ fn var_spill_read<V: VarValue>(
 }
 
 macro_rules! impl_pod_spill {
-    ($($t:ty),* $(,)?) => {$(
-        unsafe impl PodValue for $t {}
-        impl sealed::Sealed for $t {}
-        impl SpillValue for $t {
+    ($(impl[$($g:tt)*] $t:ty;)*) => {$(
+        unsafe impl<$($g)*> PodValue for $t {}
+        impl<$($g)*> sealed::Sealed for $t {}
+        impl<$($g)*> SpillValue for $t {
             const SPILL_FIXED_SIZE: Option<usize> = Some(size_of::<$t>());
             fn spill_size(&self) -> usize {
                 size_of::<$t>()
@@ -459,12 +469,14 @@ macro_rules! impl_pod_spill {
             fn spill_placeholder() -> Self {
                 pod_zeroed()
             }
+            /// Records move through DovetailSort directly (the
+            /// pre-variable-length fast path, byte-for-byte).
             fn sort_spill_run<K: IntegerKey>(
                 buffer: &mut Vec<(K, Self)>,
                 cfg: &SortConfig,
                 carry: &[u64],
             ) -> RunReport {
-                crate::sorter::pod_sort_run(buffer, cfg, carry)
+                dtsort::sort_run_pairs_with(buffer, cfg, carry)
             }
             fn merge_spill_runs_into<K: IntegerKey>(
                 runs: Vec<Vec<(K, Self)>>,
@@ -477,59 +489,24 @@ macro_rules! impl_pod_spill {
     )*};
 }
 impl_pod_spill!(
-    (),
-    u8,
-    u16,
-    u32,
-    u64,
-    u128,
-    usize,
-    i8,
-    i16,
-    i32,
-    i64,
-    i128,
-    isize,
-    f32,
-    f64,
-    bool,
+    impl[] ();
+    impl[] u8;
+    impl[] u16;
+    impl[] u32;
+    impl[] u64;
+    impl[] u128;
+    impl[] usize;
+    impl[] i8;
+    impl[] i16;
+    impl[] i32;
+    impl[] i64;
+    impl[] i128;
+    impl[] isize;
+    impl[] f32;
+    impl[] f64;
+    impl[] bool;
+    impl[T: PodValue, const N: usize] [T; N];
 );
-
-unsafe impl<T: PodValue, const N: usize> PodValue for [T; N] {}
-impl<T: PodValue, const N: usize> sealed::Sealed for [T; N] {}
-impl<T: PodValue, const N: usize> SpillValue for [T; N] {
-    const SPILL_FIXED_SIZE: Option<usize> = Some(size_of::<[T; N]>());
-    fn spill_size(&self) -> usize {
-        size_of::<Self>()
-    }
-    fn spill_write(&self, w: &mut dyn Write) -> io::Result<()> {
-        w.write_all(value_bytes(self))
-    }
-    fn spill_read(
-        r: &mut dyn Read,
-        scratch: &mut Vec<u8>,
-        payload_budget: u64,
-    ) -> io::Result<Self> {
-        pod_spill_read(r, scratch, payload_budget)
-    }
-    fn spill_placeholder() -> Self {
-        pod_zeroed()
-    }
-    fn sort_spill_run<K: IntegerKey>(
-        buffer: &mut Vec<(K, Self)>,
-        cfg: &SortConfig,
-        carry: &[u64],
-    ) -> RunReport {
-        crate::sorter::pod_sort_run(buffer, cfg, carry)
-    }
-    fn merge_spill_runs_into<K: IntegerKey>(
-        runs: Vec<Vec<(K, Self)>>,
-        tail: Vec<(K, Self)>,
-        out: &mut [(K, Self)],
-    ) {
-        crate::sorter::pod_merge_runs_into(runs, tail, out)
-    }
-}
 
 macro_rules! impl_var_spill {
     ($($t:ty),* $(,)?) => {$(
@@ -551,20 +528,6 @@ macro_rules! impl_var_spill {
             }
             fn spill_placeholder() -> Self {
                 <$t as VarValue>::from_spill_bytes(&[]).expect("empty payload is valid")
-            }
-            fn sort_spill_run<K: IntegerKey>(
-                buffer: &mut Vec<(K, Self)>,
-                cfg: &SortConfig,
-                carry: &[u64],
-            ) -> RunReport {
-                crate::sorter::var_sort_run(buffer, cfg, carry)
-            }
-            fn merge_spill_runs_into<K: IntegerKey>(
-                runs: Vec<Vec<(K, Self)>>,
-                tail: Vec<(K, Self)>,
-                out: &mut [(K, Self)],
-            ) {
-                crate::sorter::var_merge_runs_into(runs, tail, out)
             }
         }
     )*};
@@ -757,7 +720,7 @@ pub(crate) struct SpilledRun {
 /// The aggregate across all runs is therefore
 /// `max(total_bytes, 64 · runs)` — the old 4 KiB floor let a 64-run merge
 /// claim 256 KiB of buffers against a 16 KiB budget.  Callers that want
-/// read-ahead gate on [`crate::sorter::MIN_PREFETCH_RUN_BUDGET`] instead
+/// read-ahead gate on [`crate::engine::MIN_PREFETCH_RUN_BUDGET`] instead
 /// of relying on a generous floor here.  The single clamp shared by the
 /// sorter and the group-by, so the two paths cannot drift.
 pub(crate) fn per_run_reader_budget(total_bytes: usize, runs: usize) -> usize {

@@ -36,16 +36,13 @@
 //! assert_eq!(sorted[2].0, "banana");
 //! ```
 
+use crate::engine::StreamStats;
 use crate::groupby::{Aggregator, GroupedStream, StreamGroupBy};
-use crate::sorter::{SortedStream, StreamSorter};
+use crate::sorter::{var_sort_run, SortedStream, StreamSorter};
 use crate::spill::{sealed::Sealed, SpillValue};
 use dtsort::{string_key_prefix64, IntegerKey, RunReport, SortConfig, StreamConfig, StringKey};
-use parlay::kway::kway_merge_into;
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
-
-use crate::groupby::GroupByStats;
-use crate::sorter::StreamStats;
 
 /// A spillable record pairing a variable-length key's full bytes with a
 /// value, used as the *value* slot of the integer-keyed engines when the
@@ -159,17 +156,7 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
         cfg: &SortConfig,
         carry: &[u64],
     ) -> RunReport {
-        let mut tags: Vec<(u64, u64)> = buffer
-            .iter()
-            .enumerate()
-            .map(|(i, (k, _))| (k.to_ordered_u64(), i as u64))
-            .collect();
-        let report = dtsort::sort_run_pairs_with(&mut tags, cfg, carry);
-        let mut slots: Vec<Option<(K, Self)>> = buffer.drain(..).map(Some).collect();
-        buffer.extend(
-            tags.iter()
-                .map(|&(_, i)| slots[i as usize].take().expect("each slot moved once")),
-        );
+        let report = var_sort_run(buffer, cfg, carry);
         let mut s = 0usize;
         while s < buffer.len() {
             let mut e = s + 1;
@@ -184,47 +171,6 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
             s = e;
         }
         report
-    }
-
-    /// Parallel k-way merge over `(prefix, slot)` tags whose comparator
-    /// consults the full key bytes on prefix ties; fully equal keys still
-    /// favour earlier runs (the merge's smaller-index tie rule), keeping
-    /// the materializing path stable like the streaming one.
-    fn merge_spill_runs_into<K: IntegerKey>(
-        runs: Vec<Vec<(K, Self)>>,
-        tail: Vec<(K, Self)>,
-        out: &mut [(K, Self)],
-    ) {
-        let mut key_runs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(runs.len() + 1);
-        let mut full_keys: Vec<&[u8]> = Vec::with_capacity(out.len());
-        let mut base = 0u64;
-        for run in runs.iter().chain(std::iter::once(&tail)) {
-            key_runs.push(
-                run.iter()
-                    .enumerate()
-                    .map(|(i, (k, _))| (k.to_ordered_u64(), base + i as u64))
-                    .collect(),
-            );
-            full_keys.extend(run.iter().map(|(_, v)| &*v.key));
-            base += run.len() as u64;
-        }
-        debug_assert_eq!(base as usize, out.len());
-        let slices: Vec<&[(u64, u64)]> = key_runs.iter().map(|r| r.as_slice()).collect();
-        let mut merged = vec![(0u64, 0u64); out.len()];
-        kway_merge_into(&slices, &mut merged, &|a: &(u64, u64), b: &(u64, u64)| {
-            (a.0, full_keys[a.1 as usize]) < (b.0, full_keys[b.1 as usize])
-        });
-        drop(full_keys);
-        let mut slots: Vec<Option<(K, Self)>> = Vec::with_capacity(out.len());
-        for run in runs {
-            slots.extend(run.into_iter().map(Some));
-        }
-        slots.extend(tail.into_iter().map(Some));
-        for (slot, &(_, tag)) in out.iter_mut().zip(merged.iter()) {
-            *slot = slots[tag as usize]
-                .take()
-                .expect("each record gathered once");
-        }
     }
 
     fn spill_record_lt(a: &(u64, Self), b: &(u64, Self)) -> bool {
@@ -467,7 +413,7 @@ impl<K: StringKey, G: Aggregator> StringStreamGroupBy<K, G> {
     }
 
     /// Counters (spills, collapse ratio, ...).
-    pub fn stats(&self) -> &GroupByStats {
+    pub fn stats(&self) -> &StreamStats {
         self.inner.stats()
     }
 

@@ -355,11 +355,8 @@ fn torn_write_degrades_recovers_and_reports_probation() {
         let base = case_dir("torn-gb");
         let plan = FaultPlan::nth(FaultKind::TornWrite, 4);
         let io = make_io(backend).with_faults(plan.clone());
-        let mut gb: StreamGroupBy<u32, SumAgg> = StreamGroupBy::with_config_and_io(
-            SumAgg,
-            cfg(&base, SpillCompression::Off, false),
-            io,
-        );
+        let mut gb: StreamGroupBy<u32, SumAgg> =
+            StreamGroupBy::with_config_and_io(SumAgg, cfg(&base, SpillCompression::Off, false), io);
         let mut errors = 0usize;
         for chunk in gb_input.chunks(CHUNK) {
             if let Err(e) = gb.push(chunk) {
@@ -381,7 +378,10 @@ fn torn_write_degrades_recovers_and_reports_probation() {
         let got = gb.finish_vec().unwrap();
         assert_eq!(got.len(), gb_want.len(), "one aggregate per key [{ctx}]");
         for (k, sum) in got {
-            assert_eq!(sum, gb_want[&k], "key {k}: aggregate lost to the torn write [{ctx}]");
+            assert_eq!(
+                sum, gb_want[&k],
+                "key {k}: aggregate lost to the torn write [{ctx}]"
+            );
         }
         assert_empty_and_remove(&base, &ctx);
     }
