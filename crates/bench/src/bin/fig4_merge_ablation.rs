@@ -4,9 +4,13 @@
 //! (3) the merge step skipped entirely ("Others", a lower bound that does
 //! not produce fully sorted output), for 32-bit and 64-bit keys.
 //!
+//! Each strategy's merge time is its merge step summed over every recursive
+//! call, not a difference of two wall times; the speedup reads `n/a` when a
+//! merge time is below timer resolution.
+//!
 //! Usage: `cargo run -p bench --release --bin fig4_merge_ablation -- [--n 1e7] [--reps 3]`
 
-use bench::experiments::measure_merge_ablation;
+use bench::experiments::{measure_merge_ablation, merge_speedup};
 use bench::{Args, Table};
 use workloads::dist::merge_ablation_instances;
 
@@ -20,22 +24,20 @@ fn run(bits: u32, args: &Args) {
         "DTMerge(s)",
         "PLMerge(s)",
         "NoMerge(s)",
-        "merge% (DT)",
-        "merge% (PL)",
+        "merge(ms) DT",
+        "merge(ms) PL",
         "merge speedup",
     ]);
     for dist in merge_ablation_instances() {
-        let (dt, pl, none) = measure_merge_ablation(&dist, args.n, bits, args.reps, 42);
-        let dt_merge = (dt - none).max(0.0);
-        let pl_merge = (pl - none).max(0.0);
+        let [dt, pl, none] = measure_merge_ablation(&dist, args.n, bits, args.reps, 42);
         table.add_row(vec![
             dist.label(),
-            format!("{dt:.3}"),
-            format!("{pl:.3}"),
-            format!("{none:.3}"),
-            format!("{:.0}%", 100.0 * dt_merge / dt.max(1e-12)),
-            format!("{:.0}%", 100.0 * pl_merge / pl.max(1e-12)),
-            format!("{:.2}x", pl_merge / dt_merge.max(1e-12)),
+            format!("{:.3}", dt.total_s),
+            format!("{:.3}", pl.total_s),
+            format!("{:.3}", none.total_s),
+            format!("{:.3}", dt.merge_s * 1e3),
+            format!("{:.3}", pl.merge_s * 1e3),
+            merge_speedup(pl, dt).map_or_else(|| "n/a".to_string(), |x| format!("{x:.2}x")),
         ]);
     }
     table.print();

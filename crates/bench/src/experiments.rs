@@ -12,6 +12,7 @@ use crate::runner::{median_time_secs, SorterKind};
 use apps::morton::morton_sort_2d_with;
 use apps::transpose_with_sorter;
 use dtsort::{MergeStrategy, SortConfig, StatsSnapshot};
+use std::time::Instant;
 use workloads::dist::{generate_pairs_u32, generate_pairs_u64, Distribution};
 use workloads::graphs::Csr;
 use workloads::points::Point2;
@@ -94,16 +95,36 @@ pub fn measure_heavy_ablation(
     }
 }
 
+/// One strategy's result in the merge ablation: median wall seconds of the
+/// whole sort, and median seconds of its merge step summed over every
+/// recursive call (`StatsSnapshot::merge_time`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MergeTiming {
+    pub total_s: f64,
+    pub merge_s: f64,
+}
+
+/// Merge times below this are not told apart from zero: 1 µs, far above the
+/// clock's nanosecond resolution once a few calls' spans are summed.
+pub const TIMER_RESOLUTION_S: f64 = 1e-6;
+
+/// How much faster the DTMerge step is than `baseline`'s, or `None` when
+/// either merge time is below [`TIMER_RESOLUTION_S`].
+pub fn merge_speedup(baseline: MergeTiming, dtmerge: MergeTiming) -> Option<f64> {
+    (baseline.merge_s >= TIMER_RESOLUTION_S && dtmerge.merge_s >= TIMER_RESOLUTION_S)
+        .then(|| baseline.merge_s / dtmerge.merge_s)
+}
+
 /// Fig. 4(c)(d): the dovetail merge versus the parallel-merge baseline and
 /// the merge-free lower bound ("Others").
-/// Returns `(dtmerge, plmerge, no_merge)` median seconds.
+/// Returns `[dtmerge, plmerge, no_merge]`.
 pub fn measure_merge_ablation(
     dist: &Distribution,
     n: usize,
     bits: u32,
     reps: usize,
     seed: u64,
-) -> (f64, f64, f64) {
+) -> [MergeTiming; 3] {
     let mk = |strategy: MergeStrategy| SortConfig {
         merge_strategy: strategy,
         ..SortConfig::default()
@@ -113,19 +134,39 @@ pub fn measure_merge_ablation(
         mk(MergeStrategy::ParallelMerge),
         mk(MergeStrategy::Skip),
     ];
-    let mut out = [0.0f64; 3];
     if bits == 32 {
         let input = generate_pairs_u32(dist, n, seed);
-        for (i, cfg) in cfgs.iter().enumerate() {
-            out[i] = median_time_secs(&input, reps, |v| dtsort::sort_pairs_with(v, cfg));
-        }
+        cfgs.map(|cfg| time_merge(&input, reps, &cfg))
     } else {
         let input = generate_pairs_u64(dist, n, seed);
-        for (i, cfg) in cfgs.iter().enumerate() {
-            out[i] = median_time_secs(&input, reps, |v| dtsort::sort_pairs_with(v, cfg));
-        }
+        cfgs.map(|cfg| time_merge(&input, reps, &cfg))
     }
-    (out[0], out[1], out[2])
+}
+
+fn time_merge<K, V>(input: &[(K, V)], reps: usize, cfg: &SortConfig) -> MergeTiming
+where
+    K: dtsort::IntegerKey,
+    V: Copy + Send + Sync,
+{
+    let (mut total, mut merge): (Vec<f64>, Vec<f64>) = (0..reps.max(1))
+        .map(|_| {
+            let mut data = input.to_vec();
+            let start = Instant::now();
+            let stats = dtsort::sort_pairs_with_stats(&mut data, cfg);
+            (
+                start.elapsed().as_secs_f64(),
+                stats.merge_time.as_secs_f64(),
+            )
+        })
+        .unzip();
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    MergeTiming {
+        total_s: median(&mut total),
+        merge_s: median(&mut merge),
+    }
 }
 
 /// Thread-scaling measurement (Fig. 4(e), Figs. 5–20): median seconds of
@@ -216,8 +257,15 @@ mod tests {
         let d = Distribution::Exponential { lambda: 10.0 };
         let (a, b) = measure_heavy_ablation(&d, 20_000, 32, 1, 2);
         assert!(a > 0.0 && b > 0.0);
-        let (x, y, z) = measure_merge_ablation(&d, 20_000, 64, 1, 3);
-        assert!(x > 0.0 && y > 0.0 && z > 0.0);
+        let [dt, pl, none] = measure_merge_ablation(&d, 20_000, 64, 1, 3);
+        assert!(dt.total_s > 0.0 && pl.total_s > 0.0 && none.total_s > 0.0);
+        let speedup = merge_speedup(pl, dt).expect("merge times above timer resolution");
+        assert!(speedup.is_finite() && speedup > 0.0, "{speedup}");
+        let unmeasured = MergeTiming {
+            total_s: 1.0,
+            merge_s: 0.0,
+        };
+        assert_eq!(merge_speedup(pl, unmeasured), None);
     }
 
     #[test]

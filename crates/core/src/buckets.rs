@@ -10,33 +10,100 @@
 //! * optionally, one *overflow* bucket at the very end collects keys above
 //!   the sampled key range (Section 5).
 //!
-//! Heavy keys are looked up in a small open-addressing hash table `H`; light
-//! keys fall through to a direct-indexed lookup array `L` keyed by the MSD —
-//! exactly the `H`/`L` pair of the paper.
+//! The paper's `L` array is [`BucketTable::light_ids`], indexed by the MSD;
+//! one extra end entry holds the overflow bucket's id, so a key above the
+//! effective range reaches it by clamping its zone instead of by a branch.
+//! The paper's hash table `H` is a [`HeavyMap`] with a fixed probe window:
+//! every heavy key sits within `window` slots of its home slot, the arrays
+//! are padded so a window never wraps, and empty slots repeat one real
+//! `(key, id)` pair.  A lookup is therefore `window` compare-and-selects
+//! starting from the zone's light id, with no data-dependent branch, which
+//! is what the distribution step pays once per record.
 
 use crate::key::low_mask;
 
-/// A minimal open-addressing hash map from `u64` keys to bucket ids.
+/// Largest probe window a [`HeavyMap`] accepts.  A build whose linear-probe
+/// displacement would need a longer window doubles the table instead.
+pub const MAX_PROBE_WINDOW: usize = 8;
+
+/// Fibonacci-hashing multiplier (`2^64 / φ`, odd).  The home slot is the
+/// *top* bits of `key · HASH_MUL`, which depend on every key bit: keys that
+/// share their low bits (Bit-Exponential keys do) still spread out.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A small open-addressing map from `u64` keys to bucket ids with a fixed,
+/// branch-free probe window.
 ///
 /// The number of heavy keys per subproblem is at most `~2^γ ≤ 4096`, so the
-/// table is tiny and lives comfortably in cache; linear probing with a
-/// power-of-two capacity at load factor ≤ 0.5 gives expected O(1) lookups.
+/// table is tiny and stays in cache.  It starts at load factor ≤ 0.5 and
+/// doubles until every key lands within [`MAX_PROBE_WINDOW`] slots of its
+/// home slot.  Empty slots hold a copy of the first inserted pair, with its
+/// real id, so no key value has to be reserved as a sentinel.
 #[derive(Debug, Clone)]
 pub struct HeavyMap {
-    slots: Vec<Option<(u64, u32)>>,
-    mask: usize,
+    /// Slot keys: `capacity + window - 1` entries, so a window starting at
+    /// any home slot stays in bounds.
+    keys: Vec<u64>,
+    /// Slot ids, parallel to `keys`.
+    ids: Vec<u32>,
+    /// `64 - log2(capacity)`.
+    shift: u32,
+    /// Probe window: the largest insert displacement plus one (0 when empty).
+    window: usize,
     len: usize,
 }
 
 impl HeavyMap {
-    /// Creates a map sized for `expected` keys.
-    pub fn with_capacity(expected: usize) -> Self {
-        let cap = (expected.max(1) * 4).next_power_of_two();
-        Self {
-            slots: vec![None; cap],
-            mask: cap - 1,
-            len: 0,
+    /// Builds the map from distinct `(key, id)` pairs.
+    pub fn new(pairs: &[(u64, u32)]) -> Self {
+        let Some(&fill) = pairs.first() else {
+            // Two slots: shift 63 puts every home slot at 0 or 1, where an
+            // empty window slices in bounds.
+            return Self {
+                keys: vec![0; 2],
+                ids: vec![0; 2],
+                shift: 63,
+                window: 0,
+                len: 0,
+            };
+        };
+        let mut log_cap = (2 * pairs.len()).next_power_of_two().trailing_zeros();
+        loop {
+            if let Some(map) = Self::try_build(pairs, fill, log_cap) {
+                return map;
+            }
+            log_cap += 1;
         }
+    }
+
+    /// Places every pair in a table of `2^log_cap` slots, or returns `None`
+    /// if some key would sit [`MAX_PROBE_WINDOW`] or more slots from home.
+    fn try_build(pairs: &[(u64, u32)], fill: (u64, u32), log_cap: u32) -> Option<Self> {
+        assert!(log_cap < 48, "HeavyMap: probe window bound unreachable");
+        let cap = 1usize << log_cap;
+        let shift = 64 - log_cap;
+        let mut slots: Vec<Option<(u64, u32)>> = vec![None; cap + MAX_PROBE_WINDOW - 1];
+        let mut window = 1;
+        for &(key, id) in pairs {
+            let home = home_slot(key, shift);
+            let probe = &mut slots[home..home + MAX_PROBE_WINDOW];
+            debug_assert!(
+                probe.iter().all(|s| s.map(|(k, _)| k) != Some(key)),
+                "duplicate heavy key inserted"
+            );
+            let d = probe.iter().position(Option::is_none)?;
+            probe[d] = Some((key, id));
+            window = window.max(d + 1);
+        }
+        slots.truncate(cap + window - 1);
+        let (keys, ids) = slots.iter().map(|s| s.unwrap_or(fill)).unzip();
+        Some(Self {
+            keys,
+            ids,
+            shift,
+            window,
+            len: pairs.len(),
+        })
     }
 
     /// Number of keys stored.
@@ -49,46 +116,40 @@ impl HeavyMap {
         self.len == 0
     }
 
-    #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        (parlay::random::hash64(key) as usize) & self.mask
+    /// Number of slots every lookup scans (at most [`MAX_PROBE_WINDOW`]).
+    pub fn probe_window(&self) -> usize {
+        self.window
     }
 
-    /// Inserts `key -> id`.  Keys must be distinct; the table never grows
-    /// (capacity was chosen from the number of heavy keys).
-    pub fn insert(&mut self, key: u64, id: u32) {
-        assert!(self.len * 2 < self.slots.len(), "HeavyMap overfull");
-        let mut i = self.slot_of(key);
-        loop {
-            match self.slots[i] {
-                None => {
-                    self.slots[i] = Some((key, id));
-                    self.len += 1;
-                    return;
-                }
-                Some((k, _)) => {
-                    debug_assert_ne!(k, key, "duplicate heavy key inserted");
-                    i = (i + 1) & self.mask;
-                }
-            }
+    /// The bucket id of `key`, or `default` if it is not a heavy key: a
+    /// fixed-length loop of compare-and-select, with no branch on the key.
+    #[inline]
+    pub fn get_or(&self, key: u64, default: u32) -> u32 {
+        let home = home_slot(key, self.shift);
+        let keys = &self.keys[home..home + self.window];
+        let ids = &self.ids[home..home + self.window];
+        let mut id = default;
+        for (&k, &i) in keys.iter().zip(ids) {
+            // A plain `if` here is turned back into a branch inside the
+            // caller's loop, which mispredicts on every heavy/light mix.
+            id = std::hint::select_unpredictable(k == key, i, id);
         }
+        id
     }
 
     /// Looks up the bucket id of `key`, if it is a heavy key.
     #[inline]
     pub fn get(&self, key: u64) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut i = self.slot_of(key);
-        loop {
-            match self.slots[i] {
-                None => return None,
-                Some((k, id)) if k == key => return Some(id),
-                Some(_) => i = (i + 1) & self.mask,
-            }
-        }
+        let home = home_slot(key, self.shift);
+        (home..home + self.window)
+            .find(|&s| self.keys[s] == key)
+            .map(|s| self.ids[s])
     }
+}
+
+#[inline]
+fn home_slot(key: u64, shift: u32) -> usize {
+    (key.wrapping_mul(HASH_MUL) >> shift) as usize
 }
 
 /// Description of one heavy bucket.
@@ -96,8 +157,6 @@ impl HeavyMap {
 pub struct HeavyBucket {
     /// The (masked) heavy key all records in this bucket share.
     pub key: u64,
-    /// The MSD zone the key belongs to.
-    pub zone: usize,
     /// The bucket id assigned to it.
     pub id: u32,
 }
@@ -115,13 +174,10 @@ pub struct BucketTable {
     pub eff_mask: u64,
     /// Shift that brings the current digit to the low bits: `eff_bits - γ`.
     pub digit_shift: u32,
-    /// Light bucket id of each MSD zone (`2^γ` entries).
+    /// Light bucket id of each MSD zone (`2^γ` entries), then one end
+    /// entry: the first id past the last zone, which is the overflow
+    /// bucket's id when there is one.
     pub light_ids: Vec<u32>,
-    /// Whether each MSD zone owns at least one heavy bucket.  Keys in zones
-    /// without heavy buckets skip the hash-table probe entirely, which keeps
-    /// the per-record cost of `GetBucketID` at a shift and two array reads on
-    /// inputs where heavy keys are concentrated in few zones.
-    pub zone_has_heavy: Vec<bool>,
     /// Heavy buckets in bucket-id order.
     pub heavy: Vec<HeavyBucket>,
     /// Hash table from heavy key to bucket id.
@@ -155,10 +211,8 @@ impl BucketTable {
         let digit_shift = eff_bits - gamma;
         let eff_mask = low_mask(eff_bits);
 
-        let mut light_ids = vec![0u32; num_zones];
-        let mut zone_has_heavy = vec![false; num_zones];
+        let mut light_ids = vec![0u32; num_zones + 1];
         let mut heavy = Vec::with_capacity(heavy_keys.len());
-        let mut heavy_map = HeavyMap::with_capacity(heavy_keys.len());
 
         // Heavy keys are sorted, hence grouped by zone in increasing order:
         // walk zones and heavy keys in lockstep, assigning ids serially
@@ -178,16 +232,16 @@ impl BucketTable {
                 }
                 heavy.push(HeavyBucket {
                     key: hk,
-                    zone,
                     id: next_id,
                 });
-                zone_has_heavy[zone] = true;
-                heavy_map.insert(hk, next_id);
                 next_id += 1;
                 hi += 1;
             }
         }
         debug_assert_eq!(hi, heavy_keys.len(), "all heavy keys must be placed");
+        light_ids[num_zones] = next_id;
+        let pairs: Vec<(u64, u32)> = heavy.iter().map(|h| (h.key, h.id)).collect();
+        let heavy_map = HeavyMap::new(&pairs);
 
         let overflow_id = if with_overflow && eff_bits < bits {
             let id = next_id;
@@ -203,7 +257,6 @@ impl BucketTable {
             eff_mask,
             digit_shift,
             light_ids,
-            zone_has_heavy,
             heavy,
             heavy_map,
             overflow_id,
@@ -214,80 +267,73 @@ impl BucketTable {
     /// Number of MSD zones (`2^γ`).
     #[inline]
     pub fn num_zones(&self) -> usize {
-        self.light_ids.len()
+        self.light_ids.len() - 1
     }
 
     /// The `GetBucketID` function of Alg. 2: maps a key (masked to the
-    /// subproblem's remaining bits) to its bucket id.
+    /// subproblem's remaining bits) to its bucket id.  Branch-free: a key
+    /// above the effective range clamps to the end entry of `light_ids`
+    /// (the overflow bucket), and the heavy lookup selects over a fixed
+    /// window.
     #[inline]
     pub fn bucket_id(&self, masked_key: u64) -> usize {
-        if masked_key > self.eff_mask {
-            // Key exceeds the sampled range: overflow bucket.
-            debug_assert!(self.overflow_id.is_some());
-            return self.overflow_id.unwrap_or(0) as usize;
-        }
-        let zone = (masked_key >> self.digit_shift) as usize;
-        if self.zone_has_heavy[zone] {
-            if let Some(id) = self.heavy_map.get(masked_key) {
-                return id as usize;
-            }
-        }
+        debug_assert!(masked_key <= self.eff_mask || self.overflow_id.is_some());
+        let zone = (masked_key >> self.digit_shift).min(self.num_zones() as u64) as usize;
+        self.heavy_map.get_or(masked_key, self.light_ids[zone]) as usize
+    }
+
+    /// [`BucketTable::bucket_id`] for a table without heavy keys: the light
+    /// lookup alone.
+    #[inline]
+    pub fn light_bucket_id(&self, masked_key: u64) -> usize {
+        debug_assert!(self.heavy.is_empty());
+        debug_assert!(masked_key <= self.eff_mask || self.overflow_id.is_some());
+        let zone = (masked_key >> self.digit_shift).min(self.num_zones() as u64) as usize;
         self.light_ids[zone] as usize
     }
 
     /// The half-open range of bucket ids belonging to MSD zone `z`
     /// (its light bucket plus its heavy buckets).
     pub fn zone_bucket_ids(&self, z: usize) -> std::ops::Range<usize> {
-        let start = self.light_ids[z] as usize;
-        let end = if z + 1 < self.light_ids.len() {
-            self.light_ids[z + 1] as usize
-        } else {
-            self.num_buckets - usize::from(self.overflow_id.is_some())
-        };
-        start..end
+        self.light_ids[z] as usize..self.light_ids[z + 1] as usize
     }
 
     /// Heavy buckets of zone `z`, in key order.
     pub fn zone_heavy(&self, z: usize) -> &[HeavyBucket] {
+        // Zone z's light id is z plus the number of heavy buckets of earlier
+        // zones, which is where its own heavy buckets start in `heavy`.
         let ids = self.zone_bucket_ids(z);
-        // Heavy buckets of zone z have ids ids.start+1 .. ids.end, and the
-        // `heavy` vec is in id order.
-        let count = ids.len().saturating_sub(1);
-        if count == 0 {
-            return &[];
-        }
-        let first = self
-            .heavy
-            .iter()
-            .position(|h| h.zone == z)
-            .expect("zone has heavy buckets");
-        &self.heavy[first..first + count]
+        &self.heavy[ids.start - z..ids.end - z - 1]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parlay::random::Rng;
 
     #[test]
     fn heavy_map_insert_and_get() {
-        let mut m = HeavyMap::with_capacity(10);
-        for i in 0..10u64 {
-            m.insert(i * 1_000_003, i as u32);
-        }
+        let pairs: Vec<(u64, u32)> = (0..10u64).map(|i| (i * 1_000_003, i as u32)).collect();
+        let m = HeavyMap::new(&pairs);
         assert_eq!(m.len(), 10);
         for i in 0..10u64 {
             assert_eq!(m.get(i * 1_000_003), Some(i as u32));
+            assert_eq!(m.get_or(i * 1_000_003, 99), i as u32);
         }
         assert_eq!(m.get(7), None);
         assert_eq!(m.get(u64::MAX), None);
+        assert_eq!(m.get_or(7, 99), 99);
     }
 
     #[test]
     fn heavy_map_empty() {
-        let m = HeavyMap::with_capacity(0);
+        let m = HeavyMap::new(&[]);
         assert!(m.is_empty());
+        assert_eq!(m.probe_window(), 0);
         assert_eq!(m.get(0), None);
+        assert_eq!(m.get_or(0, 5), 5);
+        assert_eq!(m.get_or(u64::MAX, 5), 5);
     }
 
     #[test]
@@ -373,5 +419,127 @@ mod tests {
         assert_eq!(t.bucket_id(42), 11);
         assert_eq!(t.bucket_id(43), 8);
         assert_eq!(t.num_buckets, 8 + 6);
+    }
+
+    /// `GetBucketID` spelled out: overflow check, zone shift, binary search
+    /// over the sorted heavy keys.  Zone `z`'s light id is `z` plus the
+    /// number of heavy keys in earlier zones; heavy key `i` of zone `z` has
+    /// id `z + i + 1`.
+    fn reference_bucket_id(t: &BucketTable, heavy_keys: &[u64], key: u64) -> usize {
+        if key > t.eff_mask {
+            return t.overflow_id.expect("key above range needs overflow") as usize;
+        }
+        let zone = (key >> t.digit_shift) as usize;
+        match heavy_keys.binary_search(&key) {
+            Ok(i) => zone + i + 1,
+            Err(_) => {
+                zone + heavy_keys.partition_point(|&h| ((h >> t.digit_shift) as usize) < zone)
+            }
+        }
+    }
+
+    /// Builds a table over `heavy_keys` and compares `bucket_id` with the
+    /// reference on the heavy keys, their neighbours, the fill pair's key,
+    /// `u64::MAX` (when in range) and random queries.
+    fn check_lookup(bits: u32, eff_bits: u32, gamma: u32, mut heavy_keys: Vec<u64>, rng: Rng) {
+        heavy_keys.sort_unstable();
+        heavy_keys.dedup();
+        let t = BucketTable::build(bits, eff_bits, gamma, &heavy_keys, true);
+        assert!(t.heavy_map.probe_window() <= MAX_PROBE_WINDOW);
+        assert_eq!(t.heavy_map.is_empty(), heavy_keys.is_empty());
+        let mask = low_mask(bits);
+        let mut queries: Vec<u64> = heavy_keys
+            .iter()
+            .flat_map(|&h| [h, h.wrapping_sub(1) & mask, h.wrapping_add(1) & mask])
+            .collect();
+        queries.extend([0, t.eff_mask, mask]);
+        queries.extend((0..2_000).map(|i| rng.ith(i) & mask));
+        queries.extend((0..2_000).map(|i| rng.ith(i) & t.eff_mask));
+        for q in queries {
+            assert_eq!(
+                t.bucket_id(q),
+                reference_bucket_id(&t, &heavy_keys, q),
+                "key {q:#x}, bits {bits}, eff_bits {eff_bits}, gamma {gamma}, heavy {}",
+                heavy_keys.len()
+            );
+        }
+    }
+
+    #[test]
+    fn bucket_id_matches_reference_on_random_tables() {
+        let rng = Rng::new(11);
+        for round in 0..60u64 {
+            let r = rng.fork(round);
+            let bits = if round % 2 == 0 { 32 } else { 64 };
+            let eff_bits = bits - r.ith_in(0, 8) as u32;
+            let gamma = 1 + r.ith_in(1, 12) as u32;
+            let num_heavy = r.ith_in(2, 600) as usize;
+            let heavy: Vec<u64> = (0..num_heavy as u64)
+                .map(|i| r.ith(100 + i) & low_mask(eff_bits))
+                .collect();
+            check_lookup(bits, eff_bits, gamma, heavy, r.fork(7));
+        }
+    }
+
+    #[test]
+    fn bucket_id_matches_reference_on_shared_low_bits() {
+        // Bit-Exponential-shaped heavy keys: all share their low 16 bits, so
+        // a hash of the low bits would send them to one slot.
+        let rng = Rng::new(12);
+        for bits in [32u32, 64] {
+            for num_heavy in [1u64, 12, 270, 4096] {
+                let heavy: Vec<u64> = (0..num_heavy)
+                    .map(|i| ((rng.ith(i) << 16) | 0xBEEF) & low_mask(bits))
+                    .collect();
+                check_lookup(bits, bits, 10, heavy.clone(), rng.fork(num_heavy));
+                // Consecutive high parts, the densest sharing pattern.
+                let dense: Vec<u64> = (0..num_heavy).map(|i| (i << 16) | 0xBEEF).collect();
+                check_lookup(bits, bits, 12, dense, rng.fork(num_heavy + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_id_handles_fill_key_max_key_and_empty_heavy_set() {
+        // The fill pair is the first (smallest) heavy key: it must still map
+        // to its own id from every slot that repeats it.
+        let t = BucketTable::build(64, 64, 4, &[0, 5, u64::MAX], false);
+        assert_eq!(t.bucket_id(0), 1);
+        assert_eq!(t.bucket_id(5), 2);
+        assert_eq!(t.bucket_id(u64::MAX), t.num_buckets - 1);
+        assert_eq!(t.bucket_id(u64::MAX - 1), t.num_buckets - 2);
+        assert_eq!(t.bucket_id(1), 0);
+        check_lookup(64, 64, 4, vec![0, 5, u64::MAX], Rng::new(13));
+        // No heavy keys: light ids only, overflow above the range.
+        check_lookup(64, 40, 8, Vec::new(), Rng::new(14));
+        check_lookup(32, 32, 8, Vec::new(), Rng::new(15));
+        let t = BucketTable::build(64, 40, 8, &[], true);
+        assert_eq!(t.bucket_id(u64::MAX), t.overflow_id.unwrap() as usize);
+    }
+
+    #[test]
+    fn heavy_map_window_stays_within_bound() {
+        let rng = Rng::new(16);
+        for n in [1u64, 2, 100, 1000, 4096] {
+            for shape in 0..4u64 {
+                let pairs: Vec<(u64, u32)> = (0..n)
+                    .map(|i| {
+                        let k = match shape {
+                            0 => i,
+                            1 => i << 32,
+                            2 => (i << 16) | 0xFFFF,
+                            _ => rng.ith(i),
+                        };
+                        (k, i as u32)
+                    })
+                    .collect();
+                let m = HeavyMap::new(&pairs);
+                assert!(m.probe_window() >= 1 && m.probe_window() <= MAX_PROBE_WINDOW);
+                for &(k, id) in &pairs {
+                    assert_eq!(m.get(k), Some(id));
+                    assert_eq!(m.get_or(k, u32::MAX), id);
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! [`HeavyKeyModel`] packages exactly that: it runs the sampling step of
 //! Algorithm 2 ([`crate::sampling`]) over any keyed slice, stores the
-//! detected heavy keys behind the same open-addressing table the sort's
+//! detected heavy keys behind the same fixed-window hash table the sort's
 //! bucket assignment uses ([`crate::buckets::HeavyMap`]), and exposes a
 //! stable API that downstream crates (`semisort`, `stream`) can build on
 //! without reaching into the sort's internals.
@@ -73,10 +73,12 @@ impl HeavyKeyModel {
         num_samples: usize,
         distinct_samples: usize,
     ) -> Self {
-        let mut map = HeavyMap::with_capacity(keys.len());
-        for (i, &k) in keys.iter().enumerate() {
-            map.insert(k, i as u32);
-        }
+        let pairs: Vec<(u64, u32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i as u32))
+            .collect();
+        let map = HeavyMap::new(&pairs);
         Self {
             keys,
             map,

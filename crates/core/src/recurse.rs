@@ -5,7 +5,8 @@
 //! 1. **Sampling** — detect heavy keys and the effective key range
 //!    ([`crate::sampling`]).
 //! 2. **Distributing** — stable counting sort by bucket id
-//!    ([`parlay::counting_sort`]).
+//!    ([`parlay::counting_sort`]).  Levels with heavy keys classify each
+//!    record once and scatter from the cached ids.
 //! 3. **Recursing** — sort each light bucket on the next digit; heavy
 //!    buckets (all records share one key) and the overflow bucket
 //!    (comparison sorted) skip the radix recursion.
@@ -23,7 +24,7 @@ use crate::dtmerge::{dovetail_merge_across, dovetail_merge_in_place, parallel_me
 use crate::key::{bit_width, low_mask};
 use crate::sampling::sample_and_detect;
 use crate::stats::SortStats;
-use parlay::counting_sort::counting_sort_by;
+use parlay::counting_sort::{counting_sort_by, counting_sort_cached_by, MAX_CACHED_BUCKETS};
 use parlay::par::parallel_for;
 use parlay::random::Rng;
 use parlay::slice::UnsafeSliceCell;
@@ -35,9 +36,23 @@ where
     T: Copy + Send + Sync,
     F: Fn(&T) -> u64 + Sync,
 {
+    let t = Instant::now();
     SortStats::add(&stats.base_case_calls, 1);
     SortStats::add(&stats.base_case_records, data.len() as u64);
     data.sort_by_key(|a| key(a));
+    SortStats::add(&stats.base_case_ns, elapsed_ns(t));
+}
+
+fn elapsed_ns(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Whether Step 2 classifies each record once into a cached `u16` id
+/// buffer.  That pays only where the classifier is costly, i.e. the table
+/// has heavy keys to look up, and it needs ids that fit `u16`.  Every other
+/// level keeps the two-pass counting sort and allocates nothing extra.
+fn caches_bucket_ids(table: &BucketTable) -> bool {
+    !table.heavy.is_empty() && table.num_buckets <= MAX_CACHED_BUCKETS
 }
 
 /// Sorts `data` by the low `total_bits` bits of `key`, using a freshly
@@ -172,15 +187,26 @@ where
         &sample_res.heavy_keys,
         cfg.overflow_bucket,
     );
+    let sample_ns = elapsed_ns(t0);
+    SortStats::add(&stats.sample_ns, sample_ns);
     if is_root {
-        SortStats::add(&stats.root_sample_ns, t0.elapsed().as_nanos() as u64);
+        SortStats::add(&stats.root_sample_ns, sample_ns);
     }
 
     // ---------------- Step 2: distributing ----------------
     let t1 = Instant::now();
-    let plan = counting_sort_by(data, scratch, table.num_buckets, |rec| {
-        table.bucket_id(key(rec) & mask)
-    });
+    let classify = |rec: &T| table.bucket_id(key(rec) & mask);
+    let plan = if table.heavy.is_empty() {
+        // Skipping the heavy lookup keeps heavy-free levels at their old
+        // per-record cost.
+        counting_sort_by(data, scratch, table.num_buckets, |rec| {
+            table.light_bucket_id(key(rec) & mask)
+        })
+    } else if caches_bucket_ids(&table) {
+        counting_sort_cached_by(data, scratch, table.num_buckets, classify)
+    } else {
+        counting_sort_by(data, scratch, table.num_buckets, classify)
+    };
     SortStats::add(&stats.distributed_records, n as u64);
     for h in &table.heavy {
         SortStats::add(&stats.heavy_records, plan.bucket_len(h.id as usize) as u64);
@@ -207,8 +233,10 @@ where
     } else {
         Vec::new()
     };
+    let distribute_ns = elapsed_ns(t1);
+    SortStats::add(&stats.distribute_ns, distribute_ns);
     if is_root {
-        SortStats::add(&stats.root_distribute_ns, t1.elapsed().as_nanos() as u64);
+        SortStats::add(&stats.root_distribute_ns, distribute_ns);
     }
 
     // ---------------- Step 3: recursing ----------------
@@ -254,7 +282,7 @@ where
         });
     }
     if is_root {
-        SortStats::add(&stats.root_recurse_ns, t2.elapsed().as_nanos() as u64);
+        SortStats::add(&stats.root_recurse_ns, elapsed_ns(t2));
     }
 
     // ---------------- Step 4: dovetail merging ----------------
@@ -333,8 +361,10 @@ where
             SortStats::add(&stats.merged_records, moved as u64);
         });
     }
+    let merge_ns = elapsed_ns(t3);
+    SortStats::add(&stats.merge_ns, merge_ns);
     if is_root {
-        SortStats::add(&stats.root_merge_ns, t3.elapsed().as_nanos() as u64);
+        SortStats::add(&stats.root_merge_ns, merge_ns);
     }
     confirmed_heavy
 }
@@ -475,5 +505,72 @@ mod tests {
             "heavy records not detected: {snap:?}"
         );
         assert!(snap.recursive_calls >= 1);
+    }
+
+    #[test]
+    fn cached_ids_only_where_heavy_keys_and_u16_ids() {
+        // Heavy keys and few buckets: classify once.
+        assert!(caches_bucket_ids(&BucketTable::build(
+            16,
+            16,
+            8,
+            &[7, 300],
+            false
+        )));
+        // No heavy keys: the two-pass sort, nothing allocated.
+        assert!(!caches_bucket_ids(&BucketTable::build(
+            16,
+            16,
+            8,
+            &[],
+            true
+        )));
+        assert!(!caches_bucket_ids(&BucketTable::build(
+            32,
+            24,
+            8,
+            &[],
+            true
+        )));
+        // Exactly 2^16 buckets still fit u16 ids; one more does not.
+        let heavy: Vec<u64> = (0..1u64 << 15).map(|i| i << 2).collect();
+        let t = BucketTable::build(17, 17, 15, &heavy, false);
+        assert_eq!(t.num_buckets, MAX_CACHED_BUCKETS);
+        assert!(caches_bucket_ids(&t));
+        let t = BucketTable::build(17, 17, 15, &heavy, true);
+        assert_eq!(t.num_buckets, MAX_CACHED_BUCKETS);
+        let t = BucketTable::build(16, 16, 16, &[9], false);
+        assert_eq!(t.num_buckets, MAX_CACHED_BUCKETS + 1);
+        assert!(!caches_bucket_ids(&t));
+    }
+
+    #[test]
+    fn phase_sums_cover_every_level() {
+        // Shared top byte plus heavy duplicates in the low bits: heavy keys
+        // are found below the root, so the sort reaches depth >= 2.
+        let rng = Rng::new(8);
+        let mut data: Vec<(u64, u32)> = (0..200_000)
+            .map(|i| {
+                let r = rng.ith_f64(i as u64);
+                let low = if r < 0.3 {
+                    0x00FF_0000_0000_1234
+                } else {
+                    rng.ith(i as u64) & 0x00FF_FFFF_FFFF_FFFF
+                };
+                (0xFF00_0000_0000_0000 | low, i as u32)
+            })
+            .collect();
+        let stats = SortStats::new();
+        let cfg = SortConfig {
+            base_case_threshold: 256,
+            ..SortConfig::default()
+        };
+        dtsort_impl(&mut data, &|r: &(u64, u32)| r.0, 64, &cfg, &stats);
+        let snap = stats.snapshot();
+        assert!(snap.max_depth >= 2, "{snap:?}");
+        assert!(snap.sample_time >= snap.root_sample_time, "{snap:?}");
+        assert!(snap.distribute_time > snap.root_distribute_time, "{snap:?}");
+        assert!(snap.merge_time >= snap.root_merge_time, "{snap:?}");
+        assert!(snap.base_case_time > std::time::Duration::ZERO, "{snap:?}");
     }
 }

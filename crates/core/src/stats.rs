@@ -41,6 +41,15 @@ pub struct SortStats {
     pub root_recurse_ns: AtomicU64,
     /// Wall time of Step 4 (dovetail merging) at the root call, nanoseconds.
     pub root_merge_ns: AtomicU64,
+    /// Wall time of Step 1 (sampling), summed over every recursive call.
+    pub sample_ns: AtomicU64,
+    /// Wall time of Step 2 (distribution), summed over every recursive call.
+    pub distribute_ns: AtomicU64,
+    /// Time spent in comparison-sort base cases, summed over every call.
+    pub base_case_ns: AtomicU64,
+    /// Wall time of Step 4 (dovetail merging), summed over every recursive
+    /// call.
+    pub merge_ns: AtomicU64,
 }
 
 impl SortStats {
@@ -77,12 +86,21 @@ impl SortStats {
             root_distribute_time: Duration::from_nanos(g(&self.root_distribute_ns)),
             root_recurse_time: Duration::from_nanos(g(&self.root_recurse_ns)),
             root_merge_time: Duration::from_nanos(g(&self.root_merge_ns)),
+            sample_time: Duration::from_nanos(g(&self.sample_ns)),
+            distribute_time: Duration::from_nanos(g(&self.distribute_ns)),
+            base_case_time: Duration::from_nanos(g(&self.base_case_ns)),
+            merge_time: Duration::from_nanos(g(&self.merge_ns)),
         }
     }
 }
 
 /// Plain-value snapshot of [`SortStats`], returned by the `*_with_stats`
 /// entry points.
+///
+/// The `root_*_time` fields cover the root call only; `sample_time`,
+/// `distribute_time`, `base_case_time` and `merge_time` sum their phase
+/// over every recursive call.  Calls at one level run in parallel, so a sum
+/// can exceed the sort's wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub recursive_calls: u64,
@@ -99,6 +117,10 @@ pub struct StatsSnapshot {
     pub root_distribute_time: Duration,
     pub root_recurse_time: Duration,
     pub root_merge_time: Duration,
+    pub sample_time: Duration,
+    pub distribute_time: Duration,
+    pub base_case_time: Duration,
+    pub merge_time: Duration,
 }
 
 impl StatsSnapshot {
@@ -138,6 +160,10 @@ impl StatsSnapshot {
         set("sort.root_distribute_ns", ns(self.root_distribute_time));
         set("sort.root_recurse_ns", ns(self.root_recurse_time));
         set("sort.root_merge_ns", ns(self.root_merge_time));
+        set("sort.sample_ns", ns(self.sample_time));
+        set("sort.distribute_ns", ns(self.distribute_time));
+        set("sort.base_case_ns", ns(self.base_case_time));
+        set("sort.merge_ns", ns(self.merge_time));
     }
 }
 
@@ -172,12 +198,14 @@ mod tests {
         SortStats::add(&s.heavy_keys, 11);
         SortStats::add(&s.distributed_records, 500);
         SortStats::max(&s.max_depth, 3);
+        SortStats::add(&s.distribute_ns, 1_234);
         let reg = obs::MetricsRegistry::new();
         s.snapshot().publish(&reg);
         let view = reg.snapshot();
         assert_eq!(view.gauge("sort.heavy_keys"), 11);
         assert_eq!(view.gauge("sort.distributed_records"), 500);
         assert_eq!(view.gauge("sort.max_depth"), 3);
+        assert_eq!(view.gauge("sort.distribute_ns"), 1_234);
         // Set semantics: republishing a fresh sort overwrites.
         SortStats::new().snapshot().publish(&reg);
         assert_eq!(reg.snapshot().gauge("sort.heavy_keys"), 0);

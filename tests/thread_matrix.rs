@@ -74,6 +74,26 @@ fn sorters_are_thread_count_invariant_across_distributions() {
     }
 }
 
+/// DTSort's cached-id distribution step runs at every level with heavy
+/// keys; at this n both inputs recurse below the root, so the cached path
+/// is exercised under parallel blocks at more than one level.
+#[test]
+fn dtsort_heavy_levels_are_thread_count_invariant_at_depth() {
+    const N_DEEP: usize = 500_000;
+    let picks = [
+        Distribution::BitExponential { t: 10.0 },
+        Distribution::Zipfian { s: 1.0 },
+    ];
+    for (di, dist) in picks.iter().enumerate() {
+        let input = generate_pairs_u32(dist, N_DEEP, 0xD00D + di as u64);
+        let stats = dtsort::sort_pairs_with_stats(&mut input.clone(), &Default::default());
+        assert!(stats.max_depth >= 2, "{}: {stats:?}", dist.label());
+        assert!(stats.heavy_records > 0, "{}: {stats:?}", dist.label());
+        let ctx = format!("sorter=dtsort n={N_DEEP} dist={}", dist.label());
+        assert_thread_count_invariant(&input, &ctx, |d| dtsort::sort_pairs(d));
+    }
+}
+
 #[test]
 fn semisort_is_thread_count_invariant() {
     // Both the grouped array AND the group list must be identical: group
