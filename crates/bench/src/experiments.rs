@@ -12,7 +12,6 @@ use crate::runner::{median_time_secs, SorterKind};
 use apps::morton::morton_sort_2d_with;
 use apps::transpose_with_sorter;
 use dtsort::{MergeStrategy, SortConfig, StatsSnapshot};
-use std::time::Instant;
 use workloads::dist::{generate_pairs_u32, generate_pairs_u64, Distribution};
 use workloads::graphs::Csr;
 use workloads::points::Point2;
@@ -148,24 +147,15 @@ where
     K: dtsort::IntegerKey,
     V: Copy + Send + Sync,
 {
-    let (mut total, mut merge): (Vec<f64>, Vec<f64>) = (0..reps.max(1))
-        .map(|_| {
-            let mut data = input.to_vec();
-            let start = Instant::now();
-            let stats = dtsort::sort_pairs_with_stats(&mut data, cfg);
-            (
-                start.elapsed().as_secs_f64(),
-                stats.merge_time.as_secs_f64(),
-            )
-        })
-        .unzip();
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
+    let mut merge = Vec::new();
+    let total_s = median_time_secs(input, reps, |v| {
+        let stats = dtsort::sort_pairs_with_stats(v, cfg);
+        merge.push(stats.merge_time.as_secs_f64());
+    });
+    merge.sort_by(f64::total_cmp);
     MergeTiming {
-        total_s: median(&mut total),
-        merge_s: median(&mut merge),
+        total_s,
+        merge_s: merge[merge.len() / 2],
     }
 }
 

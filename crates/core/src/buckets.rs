@@ -22,9 +22,17 @@
 
 use crate::key::low_mask;
 
-/// Largest probe window a [`HeavyMap`] accepts.  A build whose linear-probe
-/// displacement would need a longer window doubles the table instead.
+/// Probe window a [`HeavyMap`] build aims for.  A build whose linear-probe
+/// displacement needs a longer window doubles the table, at most
+/// [`MAX_DOUBLINGS`] times.
 pub const MAX_PROBE_WINDOW: usize = 8;
+
+/// Most times a [`HeavyMap`] build doubles its table past the initial load
+/// factor of at most 0.5, which keeps it under 16 slots per key.  Keys
+/// that still crowd one home slot after that (only a set built against the
+/// hash multiplier does) get a window longer than [`MAX_PROBE_WINDOW`]: the
+/// lookup stays exact and only scans more slots.
+pub const MAX_DOUBLINGS: u32 = 2;
 
 /// Fibonacci-hashing multiplier (`2^64 / φ`, odd).  The home slot is the
 /// *top* bits of `key · HASH_MUL`, which depend on every key bit: keys that
@@ -37,8 +45,9 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The number of heavy keys per subproblem is at most `~2^γ ≤ 4096`, so the
 /// table is tiny and stays in cache.  It starts at load factor ≤ 0.5 and
 /// doubles until every key lands within [`MAX_PROBE_WINDOW`] slots of its
-/// home slot.  Empty slots hold a copy of the first inserted pair, with its
-/// real id, so no key value has to be reserved as a sentinel.
+/// home slot, or [`MAX_DOUBLINGS`] times.  Empty slots hold a copy of the
+/// first inserted pair, with its real id, so no key value has to be
+/// reserved as a sentinel.
 #[derive(Debug, Clone)]
 pub struct HeavyMap {
     /// Slot keys: `capacity + window - 1` entries, so a window starting at
@@ -67,43 +76,51 @@ impl HeavyMap {
                 len: 0,
             };
         };
-        let mut log_cap = (2 * pairs.len()).next_power_of_two().trailing_zeros();
+        let first = (2 * pairs.len()).next_power_of_two().trailing_zeros();
+        let mut log_cap = first;
         loop {
-            if let Some(map) = Self::try_build(pairs, fill, log_cap) {
+            let map = Self::build_at(pairs, fill, log_cap);
+            if map.window <= MAX_PROBE_WINDOW || log_cap == first + MAX_DOUBLINGS {
                 return map;
             }
             log_cap += 1;
         }
     }
 
-    /// Places every pair in a table of `2^log_cap` slots, or returns `None`
-    /// if some key would sit [`MAX_PROBE_WINDOW`] or more slots from home.
-    fn try_build(pairs: &[(u64, u32)], fill: (u64, u32), log_cap: u32) -> Option<Self> {
-        assert!(log_cap < 48, "HeavyMap: probe window bound unreachable");
+    /// Places every pair in a table of `2^log_cap` slots by linear probing
+    /// without wrap-around.  A key lands at most as many slots from home as
+    /// keys placed before it, so `2^log_cap + len - 1` slots always suffice.
+    fn build_at(pairs: &[(u64, u32)], fill: (u64, u32), log_cap: u32) -> Self {
         let cap = 1usize << log_cap;
         let shift = 64 - log_cap;
-        let mut slots: Vec<Option<(u64, u32)>> = vec![None; cap + MAX_PROBE_WINDOW - 1];
+        let mut slots: Vec<Option<(u64, u32)>> = vec![None; cap + pairs.len() - 1];
         let mut window = 1;
         for &(key, id) in pairs {
             let home = home_slot(key, shift);
-            let probe = &mut slots[home..home + MAX_PROBE_WINDOW];
+            let probe = &mut slots[home..];
             debug_assert!(
-                probe.iter().all(|s| s.map(|(k, _)| k) != Some(key)),
+                probe
+                    .iter()
+                    .map_while(|s| s.map(|(k, _)| k))
+                    .all(|k| k != key),
                 "duplicate heavy key inserted"
             );
-            let d = probe.iter().position(Option::is_none)?;
+            let d = probe
+                .iter()
+                .position(Option::is_none)
+                .expect("fewer keys placed than padding slots");
             probe[d] = Some((key, id));
             window = window.max(d + 1);
         }
         slots.truncate(cap + window - 1);
         let (keys, ids) = slots.iter().map(|s| s.unwrap_or(fill)).unzip();
-        Some(Self {
+        Self {
             keys,
             ids,
             shift,
             window,
             len: pairs.len(),
-        })
+        }
     }
 
     /// Number of keys stored.
@@ -116,7 +133,8 @@ impl HeavyMap {
         self.len == 0
     }
 
-    /// Number of slots every lookup scans (at most [`MAX_PROBE_WINDOW`]).
+    /// Number of slots every lookup scans: at most [`MAX_PROBE_WINDOW`]
+    /// unless [`MAX_DOUBLINGS`] doublings did not spread the keys that far.
     pub fn probe_window(&self) -> usize {
         self.window
     }
@@ -150,6 +168,21 @@ impl HeavyMap {
 #[inline]
 fn home_slot(key: u64, shift: u32) -> usize {
     (key.wrapping_mul(HASH_MUL) >> shift) as usize
+}
+
+/// The keys `j · HASH_MUL⁻¹` for `j < n`: each hashes to the product `j`,
+/// whose top bits are 0, so all of them share home slot 0 at every table
+/// size that does not exceed `2^64 / n` slots.
+#[cfg(test)]
+pub(crate) fn keys_sharing_home_slot(n: u64) -> Vec<u64> {
+    // Newton's iteration for the inverse modulo 2^64; each step doubles the
+    // correct low bits, starting from 3 (HASH_MUL² ≡ 1 mod 8).
+    let mut inv = HASH_MUL;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(HASH_MUL.wrapping_mul(inv)));
+    }
+    debug_assert_eq!(HASH_MUL.wrapping_mul(inv), 1);
+    (0..n).map(|j| j.wrapping_mul(inv)).collect()
 }
 
 /// Description of one heavy bucket.
@@ -280,16 +313,6 @@ impl BucketTable {
         debug_assert!(masked_key <= self.eff_mask || self.overflow_id.is_some());
         let zone = (masked_key >> self.digit_shift).min(self.num_zones() as u64) as usize;
         self.heavy_map.get_or(masked_key, self.light_ids[zone]) as usize
-    }
-
-    /// [`BucketTable::bucket_id`] for a table without heavy keys: the light
-    /// lookup alone.
-    #[inline]
-    pub fn light_bucket_id(&self, masked_key: u64) -> usize {
-        debug_assert!(self.heavy.is_empty());
-        debug_assert!(masked_key <= self.eff_mask || self.overflow_id.is_some());
-        let zone = (masked_key >> self.digit_shift).min(self.num_zones() as u64) as usize;
-        self.light_ids[zone] as usize
     }
 
     /// The half-open range of bucket ids belonging to MSD zone `z`
@@ -538,6 +561,37 @@ mod tests {
                 for &(k, id) in &pairs {
                     assert_eq!(m.get(k), Some(id));
                     assert_eq!(m.get_or(k, u32::MAX), id);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heavy_map_stays_bounded_and_exact_when_every_key_shares_a_home_slot() {
+        // No number of doublings reaches the window bound for these keys.
+        for n in [9u64, 100, 4096] {
+            let keys = keys_sharing_home_slot(n + 1);
+            let pairs: Vec<(u64, u32)> = (0..n).map(|j| (keys[j as usize], j as u32)).collect();
+            let m = HeavyMap::new(&pairs);
+            let cap = 1usize << (64 - m.shift);
+            assert!(
+                cap < 16 * n as usize,
+                "table grew to {cap} slots for {n} keys"
+            );
+            assert_eq!(m.keys.len(), cap + m.probe_window() - 1);
+            assert_eq!(m.probe_window(), n as usize);
+            for &(k, id) in &pairs {
+                assert_eq!(m.get(k), Some(id));
+                assert_eq!(m.get_or(k, u32::MAX), id);
+            }
+            let rng = Rng::new(n);
+            for q in (0..1_000)
+                .map(|i| rng.ith(i))
+                .chain([keys[n as usize], u64::MAX])
+            {
+                if pairs.iter().all(|&(k, _)| k != q) {
+                    assert_eq!(m.get(q), None);
+                    assert_eq!(m.get_or(q, u32::MAX), u32::MAX);
                 }
             }
         }

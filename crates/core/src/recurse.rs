@@ -196,13 +196,7 @@ where
     // ---------------- Step 2: distributing ----------------
     let t1 = Instant::now();
     let classify = |rec: &T| table.bucket_id(key(rec) & mask);
-    let plan = if table.heavy.is_empty() {
-        // Skipping the heavy lookup keeps heavy-free levels at their old
-        // per-record cost.
-        counting_sort_by(data, scratch, table.num_buckets, |rec| {
-            table.light_bucket_id(key(rec) & mask)
-        })
-    } else if caches_bucket_ids(&table) {
+    let plan = if caches_bucket_ids(&table) {
         counting_sort_cached_by(data, scratch, table.num_buckets, classify)
     } else {
         counting_sort_by(data, scratch, table.num_buckets, classify)
@@ -479,6 +473,36 @@ mod tests {
         want.sort_by_key(|&(k, _)| k);
         assert_eq!(data, want);
         assert!(stats.snapshot().max_depth >= 2, "{:?}", stats.snapshot());
+    }
+
+    #[test]
+    fn heavy_keys_sharing_one_hash_slot_sort_correctly() {
+        // Heavy keys built to collide under the heavy-key hash: the table
+        // must stay small and every record must still reach its bucket.
+        let colliding = crate::buckets::keys_sharing_home_slot(64);
+        let rng = Rng::new(8);
+        let input: Vec<(u64, u32)> = (0..60_000)
+            .map(|i| {
+                let r = rng.ith(i as u64);
+                let k = if r.is_multiple_of(4) {
+                    r
+                } else {
+                    colliding[(r >> 8) as usize % 64]
+                };
+                (k, i as u32)
+            })
+            .collect();
+        let mut data = input.clone();
+        let stats = SortStats::new();
+        dtsort_impl(&mut data, &|r: &(u64, u32)| r.0, 64, &small_cfg(), &stats);
+        let mut want = input;
+        want.sort_by_key(|&(k, _)| k);
+        assert_eq!(data, want);
+        let snap = stats.snapshot();
+        assert!(
+            snap.heavy_keys > crate::buckets::MAX_PROBE_WINDOW as u64,
+            "{snap:?}"
+        );
     }
 
     #[test]
