@@ -17,7 +17,9 @@ use workloads::graphs::Csr;
 use workloads::points::Point2;
 
 /// Measures every sorter in `sorters` on one distribution instance.
-/// Returns the median seconds per sorter, in order.
+/// Returns the median seconds per sorter, in order.  With `verify`, each
+/// sorter's output is checked against a stable reference
+/// ([`check_sorted_output`]) and a mismatch panics.
 pub fn measure_distribution(
     dist: &Distribution,
     n: usize,
@@ -29,42 +31,84 @@ pub fn measure_distribution(
 ) -> Vec<f64> {
     if bits == 32 {
         let input = generate_pairs_u32(dist, n, seed);
-        sorters
-            .iter()
-            .map(|s| {
-                let t = median_time_secs(&input, reps, |v| s.sort_pairs_u32(v));
-                if verify {
-                    let mut check = input.clone();
-                    s.sort_pairs_u32(&mut check);
-                    assert!(
-                        check.windows(2).all(|w| w[0].0 <= w[1].0),
-                        "{} produced unsorted output on {}",
-                        s.name(),
-                        dist.label()
-                    );
-                }
-                t
-            })
-            .collect()
+        measure_sorters(
+            &input,
+            reps,
+            sorters,
+            verify,
+            dist,
+            SorterKind::sort_pairs_u32,
+        )
     } else {
         let input = generate_pairs_u64(dist, n, seed);
-        sorters
-            .iter()
-            .map(|s| {
-                let t = median_time_secs(&input, reps, |v| s.sort_pairs_u64(v));
-                if verify {
-                    let mut check = input.clone();
-                    s.sort_pairs_u64(&mut check);
-                    assert!(
-                        check.windows(2).all(|w| w[0].0 <= w[1].0),
-                        "{} produced unsorted output on {}",
-                        s.name(),
-                        dist.label()
-                    );
+        measure_sorters(
+            &input,
+            reps,
+            sorters,
+            verify,
+            dist,
+            SorterKind::sort_pairs_u64,
+        )
+    }
+}
+
+fn measure_sorters<K: Ord + Copy, V: Ord + Copy>(
+    input: &[(K, V)],
+    reps: usize,
+    sorters: &[SorterKind],
+    verify: bool,
+    dist: &Distribution,
+    sort: fn(&SorterKind, &mut [(K, V)]),
+) -> Vec<f64> {
+    sorters
+        .iter()
+        .map(|s| {
+            let t = median_time_secs(input, reps, |v| sort(s, v));
+            if verify {
+                let mut check = input.to_vec();
+                sort(s, &mut check);
+                if let Err(e) = check_sorted_output(input, &check, s.is_stable()) {
+                    panic!("{} on {}: {e}", s.name(), dist.label());
                 }
-                t
-            })
-            .collect()
+            }
+            t
+        })
+        .collect()
+}
+
+/// Checks `got`, a sorter's output on `input`, against the stable sort by
+/// key: a stable sorter must match it exactly; an unstable one must have
+/// the same key sequence and the same multiset of records.  Catches
+/// dropped, duplicated and (for stable sorters) reordered records, not
+/// just out-of-order keys.
+pub fn check_sorted_output<K: Ord + Copy, V: Ord + Copy>(
+    input: &[(K, V)],
+    got: &[(K, V)],
+    stable: bool,
+) -> Result<(), String> {
+    let mut want = input.to_vec();
+    want.sort_by_key(|r| r.0);
+    if got.len() != want.len() {
+        return Err(format!("{} records out, {} in", got.len(), want.len()));
+    }
+    let first_diff = |a: &[(K, V)], b: &[(K, V)]| a.iter().zip(b).position(|(x, y)| x != y);
+    if stable {
+        return match first_diff(got, &want) {
+            None => Ok(()),
+            Some(i) => Err(format!("differs from the stable sort at index {i}")),
+        };
+    }
+    if let Some(i) = got.iter().zip(&want).position(|(x, y)| x.0 != y.0) {
+        return Err(format!(
+            "key sequence differs from the sorted one at index {i}"
+        ));
+    }
+    let mut got_set = got.to_vec();
+    got_set.sort_unstable();
+    want.sort_unstable();
+    match first_diff(&got_set, &want) {
+        None => Ok(()),
+        Some(_) => Err("records differ from the input's (dropped or duplicated)".into()),
     }
 }
 
@@ -240,6 +284,48 @@ mod tests {
         );
         assert_eq!(t.len(), 2);
         assert!(t.iter().all(|&x| x > 0.0));
+    }
+
+    #[test]
+    fn verify_rejects_lost_duplicated_or_reordered_records() {
+        let input: Vec<(u32, u32)> = (0..2000u32).map(|i| ((i * 7919) % 300, i)).collect();
+        let sorted = |v: &mut [(u32, u32)]| dtsort::sort_pairs(v);
+        let mut good = input.clone();
+        sorted(&mut good);
+        assert_eq!(check_sorted_output(&input, &good, true), Ok(()));
+        assert_eq!(check_sorted_output(&input, &good, false), Ok(()));
+        // Drops a record by overwriting it with its neighbour: the keys
+        // stay sorted, which the old non-decreasing check accepted.
+        let dropping = |v: &mut [(u32, u32)]| {
+            sorted(v);
+            v[1] = v[0];
+        };
+        let mut bad = input.clone();
+        dropping(&mut bad);
+        assert!(bad.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(check_sorted_output(&input, &bad, true).is_err());
+        assert!(check_sorted_output(&input, &bad, false).is_err());
+        // A shorter output fails too.
+        assert!(check_sorted_output(&input, &good[1..], false).is_err());
+        // Equal keys out of input order: only a stable sorter fails.
+        let mut swapped = good.clone();
+        let i = swapped.windows(2).position(|w| w[0].0 == w[1].0).unwrap();
+        swapped.swap(i, i + 1);
+        assert!(check_sorted_output(&input, &swapped, true).is_err());
+        assert_eq!(check_sorted_output(&input, &swapped, false), Ok(()));
+    }
+
+    #[test]
+    fn verify_accepts_every_sorter_on_a_duplicate_heavy_instance() {
+        measure_distribution(
+            &Distribution::Uniform { distinct: 1000 },
+            20_000,
+            64,
+            1,
+            &SorterKind::all(),
+            true,
+            5,
+        );
     }
 
     #[test]

@@ -33,8 +33,10 @@ pub enum MergeStrategy {
 /// Configuration of a DovetailSort run.
 #[derive(Debug, Clone)]
 pub struct SortConfig {
-    /// Base-case threshold `θ`: subproblems of at most this many records are
-    /// handled by a stable comparison sort (paper default `2^14`).
+    /// Base-case threshold `θ`: subproblems of at most this many records go
+    /// to the stable base case (paper default `2^14`): insertion sort for
+    /// tiny inputs, LSD radix sort on the varying key bits, or a stable
+    /// comparison sort for duplicate-rich inputs.
     pub base_case_threshold: usize,
     /// Lower clamp for the radix width `γ`.
     pub min_radix_bits: u32,

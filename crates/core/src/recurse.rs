@@ -8,8 +8,8 @@
 //!    ([`parlay::counting_sort`]).  Levels with heavy keys classify each
 //!    record once and scatter from the cached ids.
 //! 3. **Recursing** — sort each light bucket on the next digit; heavy
-//!    buckets (all records share one key) and the overflow bucket
-//!    (comparison sorted) skip the radix recursion.
+//!    buckets (all records share one key) skip it, and the overflow bucket
+//!    goes straight to the base case.
 //! 4. **Dovetail merging** — interleave the heavy buckets back into the
 //!    light bucket of each MSD zone ([`crate::dtmerge`]).
 //!
@@ -17,6 +17,13 @@
 //! the distribution writes from the current array into the scratch array and
 //! the dovetail merge writes back, so each level moves every record exactly
 //! twice and never copies a bucket back just to recurse on it.
+//!
+//! Subproblems of at most `base_case_threshold` records end in a stable
+//! base case (`small_sort`): insertion sort for tiny inputs, otherwise an
+//! LSD radix sort on only the key bits that vary within the bucket, using
+//! the bucket's twin range in the other array as its ping-pong buffer.
+//! Duplicate-rich buckets, spans needing too many passes, and the root
+//! call (which has no scratch array yet) keep a stable comparison sort.
 
 use crate::buckets::BucketTable;
 use crate::config::{MergeStrategy, SortConfig};
@@ -25,13 +32,35 @@ use crate::key::{bit_width, low_mask};
 use crate::sampling::sample_and_detect;
 use crate::stats::SortStats;
 use parlay::counting_sort::{counting_sort_by, counting_sort_cached_by, MAX_CACHED_BUCKETS};
-use parlay::par::parallel_for;
+use parlay::par::{parallel_for, parallel_for_grained};
 use parlay::random::Rng;
 use parlay::slice::UnsafeSliceCell;
 use std::time::Instant;
 
-/// Stable comparison-sort base case (Alg. 2, line 2).
-fn base_case<T, F>(data: &mut [T], key: &F, stats: &SortStats)
+/// Inputs up to this size are insertion sorted.
+const INSERTION_SORT_MAX: usize = 32;
+/// Widest LSD digit: `2^11` counters per pass.
+const MAX_DIGIT_BITS: u32 = 11;
+/// Duplicate guard: a bucket with at least `n / DUPLICATE_GUARD` equal
+/// neighbours has few distinct keys, where the comparison sort wins.
+const DUPLICATE_GUARD: usize = 16;
+
+/// How [`small_sort`] ordered its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SmallSortRoute {
+    /// At most [`INSERTION_SORT_MAX`] records: insertion sort.
+    Insertion,
+    /// All keys equal, or already in order: nothing moved.
+    Presorted,
+    /// Stable comparison sort (`sort_by_key`).
+    Comparison,
+    /// Stable LSD radix sort over the varying key bits.
+    Radix,
+}
+
+/// The base case (Alg. 2, line 2), stable like every other step.  Counts
+/// the records the radix path sorted in [`SortStats::radix_base_records`].
+fn base_case<T, F>(data: &mut [T], scratch: Option<&mut [T]>, key: &F, stats: &SortStats)
 where
     T: Copy + Send + Sync,
     F: Fn(&T) -> u64 + Sync,
@@ -39,8 +68,126 @@ where
     let t = Instant::now();
     SortStats::add(&stats.base_case_calls, 1);
     SortStats::add(&stats.base_case_records, data.len() as u64);
-    data.sort_by_key(|a| key(a));
+    if small_sort(data, scratch, key) == SmallSortRoute::Radix {
+        SortStats::add(&stats.radix_base_records, data.len() as u64);
+    }
     SortStats::add(&stats.base_case_ns, elapsed_ns(t));
+}
+
+/// Stable small-n sort of `data` by `key`, using `scratch` (same length,
+/// contents clobbered) as the LSD ping-pong buffer.
+///
+/// Tiny inputs are insertion sorted.  Otherwise one read pass finds the key
+/// bits that vary (OR against AND of every key) and counts equal and
+/// descending neighbours; all-equal or sorted inputs return there.  The
+/// rest run one LSD pass per digit of the varying bit span, with balanced
+/// digits of at most [`MAX_DIGIT_BITS`].  The comparison sort remains for
+/// calls without scratch, duplicate-rich inputs, and spans needing too
+/// many passes for `n`.
+pub(crate) fn small_sort<T, F>(data: &mut [T], scratch: Option<&mut [T]>, key: &F) -> SmallSortRoute
+where
+    T: Copy,
+    F: Fn(&T) -> u64,
+{
+    let n = data.len();
+    if n <= INSERTION_SORT_MAX {
+        insertion_sort(data, key);
+        return SmallSortRoute::Insertion;
+    }
+    let Some(scratch) = scratch else {
+        data.sort_by_key(key);
+        return SmallSortRoute::Comparison;
+    };
+    debug_assert_eq!(scratch.len(), n);
+    let mut prev = key(&data[0]);
+    let (mut or, mut and) = (prev, prev);
+    let (mut equal, mut descending) = (0usize, 0usize);
+    for rec in &data[1..] {
+        let k = key(rec);
+        or |= k;
+        and &= k;
+        equal += usize::from(k == prev);
+        descending += usize::from(k < prev);
+        prev = k;
+    }
+    let varying = or ^ and;
+    if varying == 0 || descending == 0 {
+        return SmallSortRoute::Presorted;
+    }
+    let lo = varying.trailing_zeros();
+    let span = 64 - varying.leading_zeros() - lo;
+    // Narrower digits for smaller inputs keep the counters below ~2n.
+    let max_digit = (n.ilog2() + 1).min(MAX_DIGIT_BITS);
+    let passes = span.div_ceil(max_digit);
+    if equal >= n / DUPLICATE_GUARD || 2 * passes > n.ilog2() + 2 || u32::try_from(n).is_err() {
+        data.sort_by_key(key);
+        return SmallSortRoute::Comparison;
+    }
+    lsd_sort(data, scratch, key, lo, span.div_ceil(passes), passes);
+    SmallSortRoute::Radix
+}
+
+/// Stable insertion sort by `key`.
+fn insertion_sort<T: Copy, F: Fn(&T) -> u64>(data: &mut [T], key: &F) {
+    for i in 1..data.len() {
+        let rec = data[i];
+        let k = key(&rec);
+        let mut j = i;
+        while j > 0 && key(&data[j - 1]) > k {
+            data[j] = data[j - 1];
+            j -= 1;
+        }
+        data[j] = rec;
+    }
+}
+
+/// Stable LSD radix sort by the `passes × digit` key bits above `lo`,
+/// ping-ponging between `data` and `scratch`; the result ends in `data`.
+/// One read pass fills every pass's histogram; a pass whose digit is the
+/// same for every record is skipped.
+fn lsd_sort<T: Copy, F: Fn(&T) -> u64>(
+    data: &mut [T],
+    scratch: &mut [T],
+    key: &F,
+    lo: u32,
+    digit: u32,
+    passes: u32,
+) {
+    let n = data.len();
+    let radix = 1usize << digit;
+    let mask = (radix - 1) as u64;
+    let mut counts = vec![0u32; passes as usize * radix];
+    for rec in data.iter() {
+        let k = key(rec) >> lo;
+        for (p, hist) in counts.chunks_exact_mut(radix).enumerate() {
+            hist[((k >> (p as u32 * digit)) & mask) as usize] += 1;
+        }
+    }
+    let (mut src, mut dst) = (data, scratch);
+    let mut in_scratch = false;
+    for (p, hist) in counts.chunks_exact_mut(radix).enumerate() {
+        if hist.iter().any(|&c| c as usize == n) {
+            continue;
+        }
+        let mut sum = 0u32;
+        for c in hist.iter_mut() {
+            let here = *c;
+            *c = sum;
+            sum += here;
+        }
+        let shift = lo + p as u32 * digit;
+        for rec in src.iter() {
+            let d = ((key(rec) >> shift) & mask) as usize;
+            dst[hist[d] as usize] = *rec;
+            hist[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        // `src` is the scratch buffer holding the result, `dst` is `data`.
+        dst.copy_from_slice(src);
+    }
 }
 
 fn elapsed_ns(t: Instant) -> u64 {
@@ -75,7 +222,7 @@ pub(crate) fn dtsort_impl<T, F>(
 /// key domain, sorted or not), and the root-level heavy keys *confirmed by
 /// this run's bucket counts* are returned for carry-over to the next run.
 ///
-/// Runs below the base-case threshold are comparison sorted and report no
+/// Runs below the base-case threshold go to the base case and report no
 /// heavy keys (there is no sampling step to confirm them).
 pub(crate) fn dtsort_run_impl<T, F>(
     data: &mut [T],
@@ -94,7 +241,7 @@ where
         return Vec::new();
     }
     if n <= cfg.base_case_threshold.max(1) || total_bits == 0 {
-        base_case(data, key, stats);
+        base_case(data, None, key, stats);
         return Vec::new();
     }
     let mut buf = data.to_vec();
@@ -132,7 +279,7 @@ where
         return Vec::new();
     }
     if n <= cfg.base_case_threshold.max(1) || bits == 0 {
-        base_case(data, key, stats);
+        base_case(data, Some(scratch), key, stats);
         return Vec::new();
     }
     SortStats::add(&stats.recursive_calls, 1);
@@ -242,9 +389,10 @@ where
         let data_cell = UnsafeSliceCell::new(&mut *data);
         let table_ref = &table;
         let plan_ref = &plan;
-        // One task per MSD zone plus one for the overflow bucket.
+        // One task per MSD zone plus one for the overflow bucket.  Each is
+        // a whole subproblem, so every zone may go to its own worker.
         let tasks = num_zones + usize::from(table.overflow_id.is_some());
-        parallel_for(0, tasks, |z| {
+        parallel_for_grained(0, tasks, 1, &|z| {
             if z < num_zones {
                 let light_id = table_ref.light_ids[z] as usize;
                 let range = plan_ref.bucket_range(light_id);
@@ -265,12 +413,17 @@ where
                     &[],
                 );
             } else {
-                // Overflow bucket: comparison sort (Section 5).
+                // Overflow bucket: straight to the base case (Section 5),
+                // with its twin range of `data` as scratch.
                 let of = table_ref.overflow_id.expect("overflow task") as usize;
                 let range = plan_ref.bucket_range(of);
                 if range.len() > 1 {
                     let bucket = unsafe { scratch_cell.slice_mut(range.start, range.len()) };
-                    base_case(bucket, key, stats);
+                    // SAFETY: bucket ranges are disjoint and each task
+                    // touches only its own bucket's range in both arrays,
+                    // so this range of `data` is free until Step 4.
+                    let bucket_scratch = unsafe { data_cell.slice_mut(range.start, range.len()) };
+                    base_case(bucket, Some(bucket_scratch), key, stats);
                 }
             }
         });
@@ -566,6 +719,200 @@ mod tests {
         let t = BucketTable::build(16, 16, 16, &[9], false);
         assert_eq!(t.num_buckets, MAX_CACHED_BUCKETS + 1);
         assert!(!caches_bucket_ids(&t));
+    }
+
+    /// Runs [`small_sort`] with and without scratch and requires output
+    /// identical to the stable `sort_by_key` reference (the value field
+    /// records input order, so this checks stability).  Returns the route
+    /// taken with scratch.
+    fn check_small_sort(keys: &[u64]) -> SmallSortRoute {
+        let input: Vec<(u64, u32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i as u32))
+            .collect();
+        let mut want = input.clone();
+        want.sort_by_key(|r| r.0);
+        let key = |r: &(u64, u32)| r.0;
+        let mut data = input.clone();
+        let mut scratch = vec![(0xDEAD, u32::MAX); keys.len()];
+        let route = small_sort(&mut data, Some(&mut scratch), &key);
+        assert_eq!(data, want, "route {route:?}, n = {}", keys.len());
+        let mut data = input;
+        let plain = small_sort(&mut data, None, &key);
+        assert_eq!(data, want, "route {plain:?} without scratch");
+        assert_ne!(plain, SmallSortRoute::Radix, "radix needs scratch");
+        route
+    }
+
+    /// `n` keys whose varying bits are the `span` bits above `lo`, under a
+    /// shared high part.
+    fn span_keys(n: usize, lo: u32, span: u32, high: u64, seed: u64) -> Vec<u64> {
+        let rng = Rng::new(seed);
+        (0..n as u64)
+            .map(|i| high | ((rng.ith(i) & low_mask(span)) << lo))
+            .collect()
+    }
+
+    #[test]
+    fn small_sort_matches_stable_reference_across_sizes() {
+        for n in [0usize, 1, 2, 31, 32, 33, 1000, 16384] {
+            check_small_sort(&span_keys(n, 0, 32, 0, n as u64));
+            // Twelve varying bits take at most two passes at every size.
+            let route = check_small_sort(&span_keys(n, 0, 12, 0, n as u64));
+            let want = if n <= INSERTION_SORT_MAX {
+                SmallSortRoute::Insertion
+            } else {
+                SmallSortRoute::Radix
+            };
+            assert_eq!(route, want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn small_sort_covers_varying_bit_spans() {
+        let high = 0xA5C0_0000_0000_0000;
+        for span in [0u32, 1, 11, 12, 33, 64] {
+            for n in [33usize, 1000, 16384] {
+                let plain = span_keys(n, 0, span, 0, span as u64);
+                let shifted = if span < 64 {
+                    span_keys(n, 64 - 6 - span, span, high, span as u64)
+                } else {
+                    plain.clone()
+                };
+                for keys in [plain, shifted] {
+                    let route = check_small_sort(&keys);
+                    if span == 0 {
+                        assert_eq!(route, SmallSortRoute::Presorted);
+                    }
+                    if (span >= 11 && n >= 1000 && span < 64) || (span == 64 && n == 16384) {
+                        assert_eq!(route, SmallSortRoute::Radix, "span {span}, n {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_sort_routes_shaped_inputs() {
+        let n = 4000;
+        let rising: Vec<u64> = (0..n as u64).map(|i| i * 3 + 7).collect();
+        assert_eq!(check_small_sort(&rising), SmallSortRoute::Presorted);
+        let equal = vec![0xFEED_u64; n];
+        assert_eq!(check_small_sort(&equal), SmallSortRoute::Presorted);
+        // Sorted with runs of equal keys: still nothing to move.
+        let steps: Vec<u64> = (0..n as u64).map(|i| i / 10).collect();
+        assert_eq!(check_small_sort(&steps), SmallSortRoute::Presorted);
+        let falling: Vec<u64> = rising.iter().rev().copied().collect();
+        assert_eq!(check_small_sort(&falling), SmallSortRoute::Radix);
+        // Few distinct keys: the duplicate guard keeps the comparison sort.
+        let rng = Rng::new(9);
+        for distinct in [2u64, 4, 16] {
+            let keys: Vec<u64> = (0..n as u64)
+                .map(|i| rng.ith_in(i, distinct) * 1_000_003)
+                .collect();
+            assert_eq!(check_small_sort(&keys), SmallSortRoute::Comparison);
+        }
+        // Reverse order with duplicates: every tie must keep input order.
+        let falling_dups: Vec<u64> = (0..n as u64).rev().map(|i| i / 3).collect();
+        check_small_sort(&falling_dups);
+    }
+
+    #[test]
+    fn small_sort_rejects_too_many_passes_for_small_n() {
+        // 64 varying bits over 40 records would take many passes.
+        let keys = span_keys(40, 0, 64, 0, 3);
+        assert_eq!(check_small_sort(&keys), SmallSortRoute::Comparison);
+    }
+
+    #[test]
+    fn small_sort_orders_signed_keys() {
+        use crate::key::IntegerKey;
+        let rng = Rng::new(10);
+        for spread in [100i64, 1 << 20, i64::MAX] {
+            let keys: Vec<u64> = (0..3000u64)
+                .map(|i| ((rng.ith(i) as i64) % spread).to_ordered_u64())
+                .collect();
+            assert_eq!(check_small_sort(&keys), SmallSortRoute::Radix);
+            let mut data: Vec<(i64, u32)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (i64::from_ordered_u64(k), i as u32))
+                .collect();
+            let mut scratch = data.clone();
+            let mut want = data.clone();
+            want.sort_by_key(|r| r.0);
+            small_sort(&mut data, Some(&mut scratch), &|r: &(i64, u32)| {
+                r.0.to_ordered_u64()
+            });
+            assert_eq!(data, want);
+        }
+    }
+
+    #[test]
+    fn overflow_bucket_goes_through_the_radix_base_case() {
+        // Four heavy keys plus a few hundred keys far above them that the
+        // sparse sample misses: the overflow bucket is the only light work,
+        // so every radix-sorted record is an overflow record.
+        let rng = Rng::new(11);
+        let n = 200_000u64;
+        let input: Vec<(u64, u32)> = (0..n)
+            .map(|i| {
+                let k = if i % 5000 == 2500 {
+                    (1 << 40) | rng.ith_in(i, 1 << 16)
+                } else {
+                    [5, 9, 12, 30][rng.ith_in(i, 4) as usize]
+                };
+                (k, i as u32)
+            })
+            .collect();
+        let cfg = SortConfig {
+            radix_bits_override: Some(4),
+            ..SortConfig::default()
+        };
+        let mut data = input.clone();
+        let stats = SortStats::new();
+        dtsort_impl(&mut data, &|r: &(u64, u32)| r.0, 64, &cfg, &stats);
+        let mut want = input;
+        want.sort_by_key(|r| r.0);
+        assert_eq!(data, want);
+        let snap = stats.snapshot();
+        assert!(
+            snap.overflow_records > INSERTION_SORT_MAX as u64,
+            "{snap:?}"
+        );
+        assert_eq!(snap.radix_base_records, snap.overflow_records, "{snap:?}");
+    }
+
+    #[test]
+    fn radix_base_records_follow_the_routing() {
+        let rng = Rng::new(12);
+        let wide: Vec<(u64, u32)> = (0..300_000u64)
+            .map(|i| (rng.ith(i) & low_mask(40), i as u32))
+            .collect();
+        let few: Vec<(u64, u32)> = (0..300_000u64)
+            .map(|i| (rng.ith_in(i, 4) << 30, i as u32))
+            .collect();
+        let sort = |input: &[(u64, u32)]| {
+            let mut data = input.to_vec();
+            let stats = SortStats::new();
+            dtsort_impl(
+                &mut data,
+                &|r: &(u64, u32)| r.0,
+                64,
+                &SortConfig::default(),
+                &stats,
+            );
+            stats.snapshot()
+        };
+        let snap = sort(&wide);
+        assert!(snap.radix_base_records > 0, "{snap:?}");
+        assert!(
+            snap.radix_base_records <= snap.base_case_records,
+            "{snap:?}"
+        );
+        let snap = sort(&few);
+        assert_eq!(snap.radix_base_records, 0, "{snap:?}");
     }
 
     #[test]

@@ -15,10 +15,13 @@ use std::time::Duration;
 pub struct SortStats {
     /// Number of recursive DTSort calls (excluding base cases).
     pub recursive_calls: AtomicU64,
-    /// Number of comparison-sort base cases.
+    /// Number of base cases.
     pub base_case_calls: AtomicU64,
-    /// Total records handled by comparison-sort base cases.
+    /// Total records handled by base cases.
     pub base_case_records: AtomicU64,
+    /// Base-case records sorted by the LSD radix path rather than
+    /// insertion or comparison sort (a subset of `base_case_records`).
+    pub radix_base_records: AtomicU64,
     /// Number of distinct heavy keys detected, summed over all calls.
     pub heavy_keys: AtomicU64,
     /// Records placed into heavy buckets (they skip all further recursion).
@@ -45,7 +48,7 @@ pub struct SortStats {
     pub sample_ns: AtomicU64,
     /// Wall time of Step 2 (distribution), summed over every recursive call.
     pub distribute_ns: AtomicU64,
-    /// Time spent in comparison-sort base cases, summed over every call.
+    /// Time spent in base cases, summed over every call.
     pub base_case_ns: AtomicU64,
     /// Wall time of Step 4 (dovetail merging), summed over every recursive
     /// call.
@@ -75,6 +78,7 @@ impl SortStats {
             recursive_calls: g(&self.recursive_calls),
             base_case_calls: g(&self.base_case_calls),
             base_case_records: g(&self.base_case_records),
+            radix_base_records: g(&self.radix_base_records),
             heavy_keys: g(&self.heavy_keys),
             heavy_records: g(&self.heavy_records),
             overflow_records: g(&self.overflow_records),
@@ -106,6 +110,7 @@ pub struct StatsSnapshot {
     pub recursive_calls: u64,
     pub base_case_calls: u64,
     pub base_case_records: u64,
+    pub radix_base_records: u64,
     pub heavy_keys: u64,
     pub heavy_records: u64,
     pub overflow_records: u64,
@@ -148,6 +153,7 @@ impl StatsSnapshot {
         set("sort.recursive_calls", self.recursive_calls);
         set("sort.base_case_calls", self.base_case_calls);
         set("sort.base_case_records", self.base_case_records);
+        set("sort.radix_base_records", self.radix_base_records);
         set("sort.heavy_keys", self.heavy_keys);
         set("sort.heavy_records", self.heavy_records);
         set("sort.overflow_records", self.overflow_records);
@@ -199,6 +205,7 @@ mod tests {
         SortStats::add(&s.distributed_records, 500);
         SortStats::max(&s.max_depth, 3);
         SortStats::add(&s.distribute_ns, 1_234);
+        SortStats::add(&s.radix_base_records, 4_096);
         let reg = obs::MetricsRegistry::new();
         s.snapshot().publish(&reg);
         let view = reg.snapshot();
@@ -206,6 +213,7 @@ mod tests {
         assert_eq!(view.gauge("sort.distributed_records"), 500);
         assert_eq!(view.gauge("sort.max_depth"), 3);
         assert_eq!(view.gauge("sort.distribute_ns"), 1_234);
+        assert_eq!(view.gauge("sort.radix_base_records"), 4_096);
         // Set semantics: republishing a fresh sort overwrites.
         SortStats::new().snapshot().publish(&reg);
         assert_eq!(reg.snapshot().gauge("sort.heavy_keys"), 0);

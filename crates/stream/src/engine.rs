@@ -597,16 +597,23 @@ impl<R: RunReducer> RunEngine<R> {
         let tail = self.reduce_run(Vec::new());
         let (mut cursors, read_ahead_disabled, prefetch_capped) =
             open_run_cursors::<R::Output>(&self.runs, &self.cfg, &self.io)?;
-        let in_memory = self.pending_runs.drain(..).chain(Some(tail));
-        for run in in_memory.filter(|run| !run.is_empty()) {
-            let run = run
-                .into_iter()
+        let ordered = |run: Run<R>| -> Vec<(u64, R::Output)> {
+            run.into_iter()
                 .map(|(k, v)| (k.to_ordered_u64(), v))
-                .collect();
-            cursors.push(RunCursor::from_memory(run));
-        }
+                .collect()
+        };
+        let source = if self.runs.is_empty() && self.pending_runs.is_empty() {
+            // One in-memory run: already in order, so no merge is needed.
+            MergeSource::Single(ordered(tail).into_iter())
+        } else {
+            let in_memory = self.pending_runs.drain(..).chain(Some(tail));
+            for run in in_memory.filter(|run| !run.is_empty()) {
+                cursors.push(RunCursor::from_memory(ordered(run)));
+            }
+            MergeSource::Tree(LoserTree::new(cursors, R::Output::spill_record_lt))
+        };
         let merge = RunMerge {
-            tree: LoserTree::new(cursors, R::Output::spill_record_lt),
+            source,
             read_ahead_disabled,
             prefetch_capped,
             // Records the merge phase as one span from here until the
@@ -624,12 +631,21 @@ impl<R: RunReducer> RunEngine<R> {
 
 pub(crate) type MergeTree<V> = LoserTree<RunCursor<V>, fn(&(u64, V), &(u64, V)) -> bool>;
 
+/// Where a finished engine's records come from.
+pub(crate) enum MergeSource<V: SpillValue> {
+    /// No spilled and no pending runs: the one in-memory run, read straight
+    /// through.
+    Single(std::vec::IntoIter<(u64, V)>),
+    /// The k-way loser-tree merge over every run.
+    Tree(MergeTree<V>),
+}
+
 /// The final k-way merge of a finished engine, plus what must live exactly
 /// as long as it does.  Field order is drop order: the cursors close
 /// before the span is recorded and before the spill directory (with its
 /// run files) is deleted.
 pub(crate) struct RunMerge<V: SpillValue> {
-    pub(crate) tree: MergeTree<V>,
+    pub(crate) source: MergeSource<V>,
     pub(crate) read_ahead_disabled: bool,
     pub(crate) prefetch_capped: bool,
     /// Open `merge` trace span; recorded when the merge is dropped.
@@ -639,6 +655,16 @@ pub(crate) struct RunMerge<V: SpillValue> {
     /// still on: [`obs::SpanGuard`] captures its enable state at start).
     _trace: Option<obs::EnableGuard>,
     _space: Option<SpillSpace>,
+}
+
+impl<V: SpillValue> RunMerge<V> {
+    /// The next record in `(ordered key, run order)` order.
+    pub(crate) fn pop(&mut self) -> Option<(u64, V)> {
+        match &mut self.source {
+            MergeSource::Single(run) => run.next(),
+            MergeSource::Tree(tree) => tree.pop(),
+        }
+    }
 }
 
 /// Opens one merge cursor per spilled run, splitting
@@ -821,10 +847,78 @@ impl<V: SpillValue> RunSource for RunCursor<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultPlan};
     use crate::{StreamGroupBy, StreamSorter, SumAgg};
     use dtsort::BudgetHandle;
     use parlay::random::Rng;
     use std::collections::BTreeMap;
+
+    fn takes_single_run_path<V: SpillValue>(merge: &RunMerge<V>) -> bool {
+        matches!(merge.source, MergeSource::Single(_))
+    }
+
+    fn drain<V: SpillValue>(mut merge: RunMerge<V>) -> Vec<(u64, V)> {
+        std::iter::from_fn(|| merge.pop()).collect()
+    }
+
+    #[test]
+    fn unspilled_engines_read_their_one_run_directly() {
+        let rng = Rng::new(41);
+        let input: Vec<(u64, u64)> = (0..5000u64).map(|i| (rng.ith_in(i, 700), i)).collect();
+        let mut sorter: StreamSorter<u64, u64> = StreamSorter::new();
+        sorter.push(&input).unwrap();
+        let (merge, _) = sorter.into_merge().unwrap();
+        assert!(takes_single_run_path(&merge));
+        let mut want = input.clone();
+        dtsort::sort_pairs(&mut want);
+        assert_eq!(drain(merge), want);
+
+        let mut gb: StreamGroupBy<u64, SumAgg> = StreamGroupBy::new(SumAgg);
+        gb.push(&input).unwrap();
+        let (merge, _) = gb.into_merge().unwrap();
+        assert!(takes_single_run_path(&merge));
+        let mut sums: BTreeMap<u64, u64> = BTreeMap::new();
+        for &(k, v) in &input {
+            *sums.entry(k).or_default() += v;
+        }
+        assert_eq!(drain(merge), sums.into_iter().collect::<Vec<_>>());
+
+        let (merge, _) = StreamSorter::<u64, u64>::new().into_merge().unwrap();
+        assert!(takes_single_run_path(&merge));
+        assert!(drain(merge).is_empty());
+    }
+
+    #[test]
+    fn run_reclaimed_into_pending_runs_takes_the_tree_path() {
+        // The first spill write hits ENOSPC: the run is reclaimed into
+        // `pending_runs` and, with no later push to retry it, `finish`
+        // merges it from memory alongside the tail.
+        let plan = FaultPlan::nth(FaultKind::WriteEnospc, 0);
+        let cfg = StreamConfig {
+            memory_budget_bytes: 16 << 10,
+            synchronous_spill: true,
+            ..StreamConfig::default()
+        };
+        let io = SpillIoHandle::blocking().with_faults(plan.clone());
+        let mut sorter: StreamSorter<u64, u64> = StreamSorter::with_config_and_io(cfg, io);
+        let rng = Rng::new(42);
+        let mut pushed = Vec::new();
+        for i in 0u64.. {
+            let record = (rng.ith_in(i, 1 << 30), i);
+            pushed.push(record);
+            if sorter.push_record(record.0, record.1).is_err() {
+                break;
+            }
+        }
+        assert_eq!(plan.injected(), 1);
+        assert_eq!(sorter.pending_runs.len(), 1, "the failed run is reclaimed");
+        assert!(sorter.runs.is_empty());
+        assert_eq!(sorter.len(), pushed.len(), "no record lost");
+        let (merge, _) = sorter.into_merge().unwrap();
+        assert!(!takes_single_run_path(&merge));
+        dtsort::sort_pairs(&mut pushed);
+        assert_eq!(drain(merge), pushed);
+    }
 
     fn shrink_cfg(handle: &BudgetHandle) -> StreamConfig {
         StreamConfig {

@@ -427,9 +427,9 @@ impl<K: IntegerKey, G: Aggregator> Iterator for GroupedStream<K, G> {
     type Item = (K, G::Acc);
 
     fn next(&mut self) -> Option<(K, G::Acc)> {
-        let (key, mut acc) = self.pending.take().or_else(|| self.merge.tree.pop())?;
+        let (key, mut acc) = self.pending.take().or_else(|| self.merge.pop())?;
         loop {
-            match self.merge.tree.pop() {
+            match self.merge.pop() {
                 // The loser tree yields equal keys in run order, so partials
                 // combine in push order.  Accumulators carrying an embedded
                 // full key (string-keyed streams, where the ordered `u64`

@@ -356,7 +356,7 @@ impl<K: IntegerKey, V: SpillValue> Iterator for SortedStream<K, V> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<(K, V)> {
-        let (key, value) = self.merge.tree.pop()?;
+        let (key, value) = self.merge.pop()?;
         self.remaining -= 1;
         Some((K::from_ordered_u64(key), value))
     }

@@ -38,6 +38,55 @@ proptest! {
     }
 
     #[test]
+    fn dtsort_base_case_equals_std_stable_sort(
+        raw in vec(any::<u64>(), 0..6000),
+        span in 0u32..65,
+        lo in 0u32..64,
+        (high, shape) in (any::<u64>(), 0u8..4),
+    ) {
+        // Keys vary only in `span` bits above `lo` under shared high bits;
+        // shapes: random, presorted, reverse-sorted, at most 16 distinct.
+        let lo = lo.min(64 - span);
+        let field = if span == 64 { u64::MAX } else { ((1u64 << span) - 1) << lo };
+        let mut keys: Vec<u64> = raw.iter().map(|&r| (high & !field) | ((r << lo) & field)).collect();
+        match shape {
+            1 => keys.sort_unstable(),
+            2 => keys.sort_unstable_by(|a, b| b.cmp(a)),
+            3 => {
+                let palette: Vec<u64> = keys.iter().take(16).copied().collect();
+                for (i, k) in keys.iter_mut().enumerate() {
+                    *k = palette[(raw[i] >> 60) as usize % palette.len()];
+                }
+            }
+            _ => {}
+        }
+        let input: Vec<(u64, u32)> = keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+        let mut want = input.clone();
+        want.sort_by_key(|r| r.0);
+        // Four root buckets, so the base cases see buckets of hundreds of
+        // records with scratch; the default threshold sends small inputs
+        // to the root base case, which has none.
+        let narrow = dtsort::SortConfig {
+            base_case_threshold: 2048,
+            radix_bits_override: Some(2),
+            ..Default::default()
+        };
+        for cfg in [narrow.clone(), dtsort::SortConfig::default()] {
+            let mut got = input.clone();
+            let snap = dtsort::sort_pairs_with_stats(&mut got, &cfg);
+            prop_assert_eq!(&got, &want);
+            prop_assert!(snap.radix_base_records <= snap.base_case_records);
+        }
+        // Signed keys reach the base case through `to_ordered_u64`.
+        let signed: Vec<(i64, u32)> = input.iter().map(|&(k, i)| (k as i64, i)).collect();
+        let mut got = signed.clone();
+        dtsort::sort_pairs_with(&mut got, &narrow);
+        let mut want = signed;
+        want.sort_by_key(|r| r.0);
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
     fn dtsort_by_key_signed(keys in vec(any::<i64>(), 0..2000)) {
         let mut got = keys.clone();
         dtsort::sort(&mut got);

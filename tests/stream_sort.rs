@@ -197,3 +197,62 @@ fn streaming_string_dedup_keeps_first_payload() {
         assert_eq!(v, &first[k], "key {k}: first payload in stream order");
     }
 }
+
+/// Unspilled streams read their one in-memory run straight through; the
+/// iterator must match the materializing finish and a one-shot sort byte
+/// for byte.
+#[test]
+fn unspilled_stream_matches_finish_vec_and_sort_pairs() {
+    use pisort::workloads::dist::generate_pairs_u64;
+    let dists = [
+        Distribution::Uniform { distinct: 1 << 40 },
+        Distribution::Uniform { distinct: 1000 },
+        Distribution::Zipfian { s: 1.0 },
+        Distribution::BitExponential { t: 10.0 },
+    ];
+    for (di, dist) in dists.iter().enumerate() {
+        let input = generate_pairs_u64(dist, 60_000, 0x5EED + di as u64);
+        let mk = || {
+            let mut sorter: StreamSorter<u64, u64> = StreamSorter::new();
+            for chunk in input.chunks(4099) {
+                sorter.push(chunk).expect("push");
+            }
+            assert_eq!(sorter.stats().spilled_runs, 0, "{}", dist.label());
+            sorter
+        };
+        let via_iter: Vec<(u64, u64)> = mk().finish().expect("finish").collect();
+        let via_vec = mk().finish_vec().expect("finish_vec");
+        let mut want = input.clone();
+        pisort::dtsort::sort_pairs(&mut want);
+        assert_eq!(via_iter, want, "iterator [{}]", dist.label());
+        assert_eq!(via_vec, want, "finish_vec [{}]", dist.label());
+    }
+}
+
+/// The unspilled group-by (one run, read directly) and a spilling one
+/// (loser-tree merge of many runs) produce the same groups.
+#[test]
+fn unspilled_group_by_matches_spilling_group_by() {
+    use pisort::stream::{StreamGroupBy, SumAgg};
+    use pisort::workloads::dist::generate_pairs_u64;
+    let input = generate_pairs_u64(&Distribution::Zipfian { s: 1.0 }, 60_000, 0xA66);
+    let group = |cfg: StreamConfig| {
+        let mut gb: StreamGroupBy<u64, SumAgg> = StreamGroupBy::with_config(SumAgg, cfg);
+        for chunk in input.chunks(997) {
+            gb.push(chunk).expect("push");
+        }
+        let spilled = gb.stats().spilled_runs;
+        let got: Vec<(u64, u64)> = gb.finish().expect("finish").collect();
+        (got, spilled)
+    };
+    let (unspilled, none) = group(StreamConfig::default());
+    let (spilling, some) = group(small_cfg(16 << 10));
+    assert_eq!(none, 0);
+    assert!(some > 1, "expected spills, got {some}");
+    assert_eq!(unspilled, spilling);
+    let mut sums = std::collections::BTreeMap::new();
+    for &(k, v) in &input {
+        *sums.entry(k).or_insert(0u64) += v;
+    }
+    assert_eq!(unspilled, sums.into_iter().collect::<Vec<_>>());
+}

@@ -170,6 +170,45 @@ fn stream_sorter_is_thread_count_invariant() {
 }
 
 #[test]
+fn unspilled_stream_sorter_is_thread_count_invariant() {
+    use stream::StreamSorter;
+    // The default budget holds every record: one in-memory run, read
+    // straight through, with the base cases of its sort in parallel.
+    let picks = [
+        Distribution::Uniform {
+            distinct: 1_000_000_000,
+        },
+        Distribution::Uniform { distinct: 1000 },
+        Distribution::Zipfian { s: 1.2 },
+    ];
+    for (di, dist) in picks.iter().enumerate() {
+        let input = generate_pairs_u32(dist, 4 * N, 0xBEEF + di as u64);
+        let ctx = format!("dist={}", dist.label());
+        let mut want: Option<Vec<(u32, u32)>> = None;
+        for &t in &THREADS {
+            let (via_iter, via_vec) = with_threads(t, || {
+                let mk = || {
+                    let mut s: StreamSorter<u32, u32> = StreamSorter::new();
+                    s.push(&input).unwrap();
+                    assert_eq!(s.stats().spilled_runs, 0, "no spill expected [{ctx}]");
+                    s
+                };
+                let via_iter: Vec<(u32, u32)> = mk().finish().unwrap().collect();
+                (via_iter, mk().finish_vec().unwrap())
+            });
+            assert_eq!(
+                via_iter, via_vec,
+                "finish paths disagree at {t} threads [{ctx}]"
+            );
+            match &want {
+                None => want = Some(via_iter),
+                Some(w) => assert_eq!(&via_iter, w, "differs at {t} threads [{ctx}]"),
+            }
+        }
+    }
+}
+
+#[test]
 fn group_by_aggregation_is_thread_count_invariant() {
     use stream::{StreamGroupBy, SumAgg};
     let input = generate_pairs_u32(&Distribution::Zipfian { s: 1.0 }, N, 0xF00D);
