@@ -6,10 +6,7 @@
 //! merge read-ahead, the default), and **compressed** (pipelined +
 //! `SpillCompression::DeltaLz` delta/LZ spill blocks), so every run
 //! re-baselines both the overlap win and the compression trade on the
-//! current host.  Each mode is additionally measured under **both spill
-//! I/O backends** (`StreamConfig::spill_io`): the blocking reference and
-//! the batched worker-pool scheduler, paired per rep so the reported
-//! blocking-vs-batched ratio is a median of same-rep pairs.
+//! current host.
 //!
 //! Each row reports the spill-phase wall time (pushing, sorting and
 //! writing every run, i.e. `push` loop + `flush_spills`) and the merge
@@ -28,7 +25,7 @@ use bench::{
     json_escape, median_time_secs, obs_json_fields, write_bench_json, write_obs_artifacts, Args,
     ObsPhaseDeltas, ObsProbe, Table,
 };
-use dtsort::{SpillCompression, SpillIoMode, StreamConfig};
+use dtsort::{SpillCompression, StreamConfig};
 use std::time::Instant;
 use stream::StreamSorter;
 use workloads::dist::Distribution;
@@ -36,7 +33,6 @@ use workloads::dist::Distribution;
 struct Measurement {
     dist: String,
     mode: &'static str,
-    spill_io: &'static str,
     budget_label: String,
     budget_bytes: usize,
     runs: usize,
@@ -49,70 +45,35 @@ struct Measurement {
     /// Median of paired pipelined-vs-synchronous speedups (pipelined rows
     /// only).
     pipe_sync_ratio: Option<f64>,
-    /// Median of paired blocking-vs-batched speedups for the same spill
-    /// mode (batched rows only).
-    io_ratio: Option<f64>,
     /// Phase-time deltas from the obs registry (zero unless `OBS_TRACE=1`).
     obs: ObsPhaseDeltas,
 }
 
-/// One (spill mode, I/O backend) cell of the measurement matrix.
+/// One spill mode of the measurement matrix.
 #[derive(Clone, Copy)]
 struct Mode {
     name: &'static str,
     sync: bool,
     compression: SpillCompression,
-    io: SpillIoMode,
 }
 
-/// The three spill modes under the blocking backend first, then the same
-/// three under the batched backend; `median_modes` pairs cell `i` with
-/// cell `i + 3` for the per-rep blocking-vs-batched ratio.
-const MODES: [Mode; 6] = [
+const MODES: [Mode; 3] = [
     Mode {
         name: "synchronous",
         sync: true,
         compression: SpillCompression::Off,
-        io: SpillIoMode::Blocking,
     },
     Mode {
         name: "pipelined",
         sync: false,
         compression: SpillCompression::Off,
-        io: SpillIoMode::Blocking,
     },
     Mode {
         name: "compressed",
         sync: false,
         compression: SpillCompression::DeltaLz,
-        io: SpillIoMode::Blocking,
-    },
-    Mode {
-        name: "synchronous",
-        sync: true,
-        compression: SpillCompression::Off,
-        io: SpillIoMode::Batched,
-    },
-    Mode {
-        name: "pipelined",
-        sync: false,
-        compression: SpillCompression::Off,
-        io: SpillIoMode::Batched,
-    },
-    Mode {
-        name: "compressed",
-        sync: false,
-        compression: SpillCompression::DeltaLz,
-        io: SpillIoMode::Batched,
     },
 ];
-
-fn io_label(io: SpillIoMode) -> &'static str {
-    match io {
-        SpillIoMode::Blocking => "blocking",
-        SpillIoMode::Batched => "batched",
-    }
-}
 
 struct Phases {
     spill_secs: f64,
@@ -130,7 +91,6 @@ fn stream_sort_phases(input: &[(u32, u32)], budget: usize, batch: usize, mode: M
         memory_budget_bytes: budget,
         synchronous_spill: mode.sync,
         spill_compression: mode.compression,
-        spill_io: mode.io,
         ..StreamConfig::default()
     };
     let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
@@ -174,15 +134,10 @@ fn median_modes(
     budget: usize,
     batch: usize,
     reps: usize,
-) -> (Vec<Phases>, f64, [f64; 3]) {
+) -> (Vec<Phases>, f64) {
     let reps = reps.max(1);
     let mut mode_runs: Vec<Vec<Phases>> = MODES.iter().map(|_| Vec::with_capacity(reps)).collect();
     let mut ratios: Vec<f64> = Vec::with_capacity(reps);
-    let mut io_ratios: [Vec<f64>; 3] = [
-        Vec::with_capacity(reps),
-        Vec::with_capacity(reps),
-        Vec::with_capacity(reps),
-    ];
     let total = |p: &Phases| p.spill_secs + p.merge_secs;
     for _ in 0..reps {
         for (mi, &mode) in MODES.iter().enumerate() {
@@ -191,41 +146,31 @@ fn median_modes(
         let s = mode_runs[0].last().unwrap();
         let p = mode_runs[1].last().unwrap();
         ratios.push(total(s) / total(p));
-        // Pair each blocking cell with the batched run of the same spill
-        // mode from the *same rep* (cells i and i + 3).
-        for (mi, r) in io_ratios.iter_mut().enumerate() {
-            r.push(total(mode_runs[mi].last().unwrap()) / total(mode_runs[mi + 3].last().unwrap()));
-        }
     }
     let median = |mut v: Vec<Phases>| -> Phases {
         v.sort_by(|a, b| total(a).partial_cmp(&total(b)).unwrap());
         v.swap_remove(v.len() / 2)
     };
-    let median_f = |mut v: Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-    let ratio = median_f(ratios);
-    let io_medians = io_ratios.map(median_f);
-    (
-        mode_runs.into_iter().map(median).collect(),
-        ratio,
-        io_medians,
-    )
+    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let ratio = ratios[ratios.len() / 2];
+    (mode_runs.into_iter().map(median).collect(), ratio)
 }
 
-fn write_json(path: &str, n: usize, batch: usize, threads: usize, rows: &[Measurement]) {
+fn write_json(
+    path: &str,
+    n: usize,
+    batch: usize,
+    threads: usize,
+    host_cpus: usize,
+    rows: &[Measurement],
+) {
     let rendered: Vec<String> = rows
         .iter()
         .map(|m| {
             let extra = format!(
-                "{}{}{}",
+                "{}{}",
                 match m.pipe_sync_ratio {
                     Some(r) => format!(", \"pipe_sync_ratio\": {r:.3}"),
-                    None => String::new(),
-                },
-                match m.io_ratio {
-                    Some(r) => format!(", \"io_blk_bat_ratio\": {r:.3}"),
                     None => String::new(),
                 },
                 obs_json_fields(&m.obs),
@@ -236,10 +181,9 @@ fn write_json(path: &str, n: usize, batch: usize, threads: usize, rows: &[Measur
                 1.0
             };
             format!(
-                "{{\"dist\": \"{}\", \"mode\": \"{}\", \"spill_io\": \"{}\", \"budget\": \"{}\", \"budget_bytes\": {}, \"runs\": {}, \"spilled_bytes\": {}, \"spilled_raw_bytes\": {}, \"comp_ratio\": {comp_ratio:.3}, \"spill_secs\": {:.6}, \"merge_secs\": {:.6}, \"secs\": {:.6}, \"records_per_sec\": {:.1}{}}}",
+                "{{\"dist\": \"{}\", \"mode\": \"{}\", \"budget\": \"{}\", \"budget_bytes\": {}, \"runs\": {}, \"spilled_bytes\": {}, \"spilled_raw_bytes\": {}, \"comp_ratio\": {comp_ratio:.3}, \"spill_secs\": {:.6}, \"merge_secs\": {:.6}, \"secs\": {:.6}, \"records_per_sec\": {:.1}{}}}",
                 json_escape(&m.dist),
                 m.mode,
-                m.spill_io,
                 json_escape(&m.budget_label),
                 m.budget_bytes,
                 m.runs,
@@ -260,6 +204,7 @@ fn write_json(path: &str, n: usize, batch: usize, threads: usize, rows: &[Measur
             ("n", n.to_string()),
             ("batch", batch.to_string()),
             ("threads", threads.to_string()),
+            ("host_cpus", host_cpus.to_string()),
         ],
         &rendered,
     );
@@ -305,7 +250,6 @@ fn main() {
         let mut table = Table::new(vec![
             "budget".to_string(),
             "mode".to_string(),
-            "io".to_string(),
             "runs".to_string(),
             "spill MiB".to_string(),
             "comp".to_string(),
@@ -314,7 +258,6 @@ fn main() {
             "sec".to_string(),
             "Mrec/s".to_string(),
             "pipe/sync".to_string(),
-            "blk/bat".to_string(),
         ]);
         // In-memory baseline for context.
         let base = median_time_secs(&input, args.reps, |v| dtsort::sort_pairs(v));
@@ -330,22 +273,12 @@ fn main() {
             format!("{base:.4}"),
             format!("{:.2}", n as f64 / base / 1e6),
             "-".to_string(),
-            "-".to_string(),
         ]);
         for &(label, budget) in &budgets {
-            let (medians, ratio, io_medians) = median_modes(&input, budget, batch, args.reps);
-            for (mi, (mode, p)) in MODES.iter().zip(&medians).enumerate() {
-                let pair_ratio =
-                    (mode.name == "pipelined" && mode.io == SpillIoMode::Blocking).then_some(ratio);
+            let (medians, ratio) = median_modes(&input, budget, batch, args.reps);
+            for (mode, p) in MODES.iter().zip(&medians) {
+                let pair_ratio = (mode.name == "pipelined").then_some(ratio);
                 let ratio_cell = match pair_ratio {
-                    Some(r) => format!("{r:.2}x"),
-                    None => "-".to_string(),
-                };
-                // Batched rows carry the blocking/batched ratio of their
-                // spill mode (cells pair as i and i + 3).
-                let io_ratio =
-                    (mode.io == SpillIoMode::Batched).then(|| io_medians[mi - MODES.len() / 2]);
-                let io_ratio_cell = match io_ratio {
                     Some(r) => format!("{r:.2}x"),
                     None => "-".to_string(),
                 };
@@ -362,7 +295,6 @@ fn main() {
                 table.add_row(vec![
                     label.to_string(),
                     mode.name.to_string(),
-                    io_label(mode.io).to_string(),
                     format!("{}", p.runs),
                     format!("{:.1}", p.spilled_bytes as f64 / (1 << 20) as f64),
                     comp_cell,
@@ -371,12 +303,10 @@ fn main() {
                     format!("{secs:.4}"),
                     format!("{:.2}", rps / 1e6),
                     ratio_cell,
-                    io_ratio_cell,
                 ]);
                 all.push(Measurement {
                     dist: dist.label(),
                     mode: mode.name,
-                    spill_io: io_label(mode.io),
                     budget_label: label.to_string(),
                     budget_bytes: budget,
                     runs: p.runs,
@@ -387,7 +317,6 @@ fn main() {
                     secs,
                     records_per_sec: rps,
                     pipe_sync_ratio: pair_ratio,
-                    io_ratio,
                     obs: p.obs,
                 });
             }
@@ -399,6 +328,7 @@ fn main() {
         n,
         batch,
         rayon::current_num_threads(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         &all,
     );
     write_obs_artifacts("stream");

@@ -158,72 +158,16 @@ pub enum SpillCompression {
 /// Backend used for spill-file reads and writes (the `stream` crate's
 /// `SpillIo` trait).
 ///
-/// The default resolves from the `PISORT_SPILL_IO` environment variable
-/// (`blocking` / `batched`, unset ⇒ `Blocking`) so CI can force a backend
-/// across whole test binaries; an explicitly set field always wins over
-/// the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One-valued: buffered `std::fs` I/O is the only backend.  The enum (and
+/// [`StreamConfig::spill_io`]) stay so configs that name the backend keep
+/// compiling; both go when the stream configuration moves out of this
+/// crate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpillIoMode {
     /// One blocking `std::fs` call per read/write on the calling thread
-    /// (buffered).  This is the code path every release so far has run,
-    /// kept byte-for-byte as the reference side of the backend
-    /// differential tests — the same role `synchronous_spill` plays for
-    /// the pipeline stage.
+    /// (buffered `File` writes for runs, buffered reads for merges).
+    #[default]
     Blocking,
-    /// A fixed pool of I/O worker threads driving a bounded
-    /// submission/completion queue over pooled, recycled buffers: writes
-    /// are positioned (`write_all_at`) chunk jobs, reads are scheduled
-    /// block decodes — so the merge's read-ahead becomes "one scheduler,
-    /// N in-flight reads" instead of one thread per run, and its fan-in
-    /// cap derives from [`StreamConfig::spill_io_queue_depth`] rather
-    /// than a thread-count limit.
-    Batched,
-}
-
-impl SpillIoMode {
-    /// The environment-resolved default: `PISORT_SPILL_IO=batched` forces
-    /// [`SpillIoMode::Batched`] for configs that do not set the field
-    /// explicitly (the CI backend-matrix hook); `blocking`, empty, or
-    /// unset yields [`SpillIoMode::Blocking`].  Any *other* value is a
-    /// typo (e.g. `bacthed`): it still resolves to `Blocking` so the
-    /// process keeps running, but a warning is printed to stderr once —
-    /// silently ignoring it would make a mistyped CI matrix leg pass
-    /// while testing the wrong backend.
-    pub fn env_default() -> Self {
-        static FROM_ENV: std::sync::OnceLock<SpillIoMode> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| {
-            let var = std::env::var("PISORT_SPILL_IO").ok();
-            let (mode, unknown) = Self::parse_env(var.as_deref());
-            if let Some(bad) = unknown {
-                eprintln!(
-                    "warning: unknown PISORT_SPILL_IO value {bad:?} \
-                     (expected \"blocking\" or \"batched\"); using blocking"
-                );
-            }
-            mode
-        })
-    }
-
-    /// Pure resolution rule behind [`SpillIoMode::env_default`]: returns
-    /// the resolved mode plus the unrecognized value, if any (the caller
-    /// decides how to warn).  Split out so the unknown-value path is unit
-    /// testable despite the `OnceLock` cache above.
-    pub fn parse_env(value: Option<&str>) -> (Self, Option<&str>) {
-        match value {
-            None => (SpillIoMode::Blocking, None),
-            Some(v) if v.eq_ignore_ascii_case("batched") => (SpillIoMode::Batched, None),
-            Some(v) if v.is_empty() || v.eq_ignore_ascii_case("blocking") => {
-                (SpillIoMode::Blocking, None)
-            }
-            Some(v) => (SpillIoMode::Blocking, Some(v)),
-        }
-    }
-}
-
-impl Default for SpillIoMode {
-    fn default() -> Self {
-        Self::env_default()
-    }
 }
 
 /// Recovery policy for spill I/O failures (the `stream` crate's engines).
@@ -423,26 +367,10 @@ pub struct StreamConfig {
     /// blocks.  Both formats flow through the same writer thread and
     /// merge read-ahead; decoding is transparent to the merge.
     pub spill_compression: SpillCompression,
-    /// Backend for the spill-file reads and writes themselves:
-    /// [`SpillIoMode::Blocking`] (buffered `std::fs` calls on the calling
-    /// thread — the byte-for-byte reference) or [`SpillIoMode::Batched`]
-    /// (a fixed I/O-worker pool behind a bounded submission queue; see
-    /// [`StreamConfig::spill_io_workers`] /
-    /// [`StreamConfig::spill_io_queue_depth`]).  Orthogonal to
-    /// `synchronous_spill`, which picks *who calls into* the backend, not
-    /// how the bytes move.  Defaults from the `PISORT_SPILL_IO`
-    /// environment variable ([`SpillIoMode::env_default`]).
+    /// Backend for the spill-file reads and writes.  One-valued
+    /// ([`SpillIoMode::Blocking`]); kept so configs that set it explicitly
+    /// keep compiling.
     pub spill_io: SpillIoMode,
-    /// Number of I/O worker threads the [`SpillIoMode::Batched`] backend
-    /// runs (clamped to at least 1).  Ignored under
-    /// [`SpillIoMode::Blocking`].
-    pub spill_io_workers: usize,
-    /// Bound of the batched backend's submission queue: at most this many
-    /// I/O jobs may be queued or in flight at once — submitters block
-    /// (backpressure) past it — and the merge read-ahead fan-in cap is
-    /// derived from it (one scheduled read per run).  Clamped to at least
-    /// 1.  Ignored under [`SpillIoMode::Blocking`].
-    pub spill_io_queue_depth: usize,
     /// Recovery policy for spill I/O failures: transient-kind retries
     /// with bounded deterministic backoff, and the probation window that
     /// re-enables pipelined spilling after a writer failure.  See
@@ -481,8 +409,6 @@ impl Default for StreamConfig {
             merge_read_ahead: None,
             spill_compression: SpillCompression::default(),
             spill_io: SpillIoMode::default(),
-            spill_io_workers: 2,
-            spill_io_queue_depth: 32,
             spill_retry: SpillRetryPolicy::default(),
             trace: false,
             sort: SortConfig::default(),
@@ -725,61 +651,6 @@ mod tests {
             SpillCompression::Off
         );
         assert_eq!(SpillCompression::default(), SpillCompression::Off);
-    }
-
-    #[test]
-    fn spill_io_knobs_default_sanely() {
-        let cfg = StreamConfig::default();
-        // Without PISORT_SPILL_IO in the environment the default backend
-        // is Blocking; with it, the test environment opted the whole
-        // binary into Batched and the default must follow.
-        let want = match std::env::var("PISORT_SPILL_IO") {
-            Ok(v) if v.eq_ignore_ascii_case("batched") => SpillIoMode::Batched,
-            _ => SpillIoMode::Blocking,
-        };
-        assert_eq!(cfg.spill_io, want);
-        assert_eq!(cfg.spill_io, SpillIoMode::env_default());
-        assert!(cfg.spill_io_workers >= 1);
-        assert!(cfg.spill_io_queue_depth >= 1);
-        // An explicit field always wins over the environment default.
-        let forced = StreamConfig {
-            spill_io: SpillIoMode::Batched,
-            ..StreamConfig::default()
-        };
-        assert_eq!(forced.spill_io, SpillIoMode::Batched);
-    }
-
-    #[test]
-    fn env_spill_io_parse_flags_unknown_values() {
-        // Recognized values, any case, resolve silently.
-        assert_eq!(SpillIoMode::parse_env(None), (SpillIoMode::Blocking, None));
-        assert_eq!(
-            SpillIoMode::parse_env(Some("")),
-            (SpillIoMode::Blocking, None)
-        );
-        assert_eq!(
-            SpillIoMode::parse_env(Some("blocking")),
-            (SpillIoMode::Blocking, None)
-        );
-        assert_eq!(
-            SpillIoMode::parse_env(Some("batched")),
-            (SpillIoMode::Batched, None)
-        );
-        assert_eq!(
-            SpillIoMode::parse_env(Some("BATCHED")),
-            (SpillIoMode::Batched, None)
-        );
-        // A typo must fall back to Blocking but be *reported*, not
-        // silently swallowed (a mistyped CI leg would otherwise pass
-        // while testing the wrong backend).
-        assert_eq!(
-            SpillIoMode::parse_env(Some("bacthed")),
-            (SpillIoMode::Blocking, Some("bacthed"))
-        );
-        assert_eq!(
-            SpillIoMode::parse_env(Some("async")),
-            (SpillIoMode::Blocking, Some("async"))
-        );
     }
 
     #[test]

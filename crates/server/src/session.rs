@@ -121,13 +121,10 @@ pub struct SortServer {
 
 impl SortServer {
     pub fn new(cfg: ServerConfig) -> io::Result<Self> {
-        // One I/O backend for the whole server: sessions share its worker
-        // pool and queue, and the spill manager re-splits the in-flight
-        // budget as sessions come and go.
-        let io = SpillIoHandle::from_config(&cfg.base);
+        // One I/O handle for the whole server, shared by every session.
         Ok(Self {
             governor: MemoryGovernor::new(cfg.governor),
-            spill: SpillDirManager::new(cfg.spill, io)?,
+            spill: SpillDirManager::new(cfg.spill, SpillIoHandle::blocking())?,
             base: cfg.base,
             session_seq: AtomicU64::new(0),
         })
@@ -164,7 +161,7 @@ impl SortServer {
     }
 
     /// The session's view of the shared spill I/O backend — the clean
-    /// pool, or a fault-injecting decorator over it.  The decorator is
+    /// handle, or a fault-injecting decorator over it.  The decorator is
     /// per *handle*, so a faulted session cannot leak faults (or broken
     /// state) into its neighbors.
     fn session_io(&self, core: &SessionCore, faults: Option<FaultPlan>) -> SpillIoHandle {
@@ -199,7 +196,7 @@ impl SortServer {
     /// injected into *this session's* view of the shared spill I/O
     /// backend (chaos testing).  Faults — and any broken state they leave
     /// behind — stay scoped to the returned session; every other session
-    /// keeps the clean pool.
+    /// keeps the clean handle.
     pub fn open_sort_with_faults<K: IntegerKey, V: SpillValue>(
         &self,
         tenant: &str,
@@ -310,7 +307,7 @@ impl SessionCore {
     /// Quarantines the session: records the failure (once) and wraps the
     /// error as a [`SessionError`] naming this session, preserving the
     /// source's [`io::ErrorKind`].  Only this session sees the error —
-    /// the shared pool and its neighbors are untouched, and the leases
+    /// the shared I/O handle and its neighbors are untouched, and the leases
     /// still release on drop.
     fn fail(&mut self, source: io::Error) -> io::Error {
         if !self.failed {
@@ -667,48 +664,6 @@ mod tests {
         assert_eq!(got.len(), 5_000);
         assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(server.governor().live_sessions(), 0);
-    }
-
-    #[test]
-    fn batched_backend_sessions_share_one_io_and_stay_correct() {
-        let server = SortServer::new(ServerConfig {
-            governor: GovernorConfig {
-                global_budget_bytes: 64 << 10,
-                session_floor_bytes: 8 << 10,
-                admission: AdmissionPolicy::Reject,
-            },
-            spill: SpillManagerConfig::default(),
-            base: StreamConfig {
-                spill_io: dtsort::SpillIoMode::Batched,
-                spill_io_workers: 2,
-                spill_io_queue_depth: 16,
-                sort: dtsort::SortConfig {
-                    base_case_threshold: 64,
-                    ..Default::default()
-                },
-                ..StreamConfig::default()
-            },
-        })
-        .unwrap();
-        let mut a = server.open_sort::<u32, u32>("alice", 32 << 10).unwrap();
-        let mut b = server.open_sort::<u32, u32>("bob", 32 << 10).unwrap();
-        assert_eq!(server.spill_manager().live_leases(), 2);
-        let input_a: Vec<(u32, u32)> = (0..15_000u32).map(|i| (i.rotate_left(11), i)).collect();
-        let input_b: Vec<(u32, u32)> = (0..15_000u32).map(|i| (i.rotate_left(5), i)).collect();
-        for (ca, cb) in input_a.chunks(1009).zip(input_b.chunks(1009)) {
-            a.push(ca).unwrap();
-            b.push(cb).unwrap();
-        }
-        assert!(a.stats().spilled_runs > 0 && b.stats().spilled_runs > 0);
-        let sort = |mut v: Vec<(u32, u32)>| {
-            v.sort_by_key(|r| r.0);
-            v
-        };
-        let got_a: Vec<(u32, u32)> = a.finish().unwrap().collect();
-        let got_b: Vec<(u32, u32)> = b.finish().unwrap().collect();
-        assert_eq!(got_a, sort(input_a));
-        assert_eq!(got_b, sort(input_b));
-        assert_eq!(server.spill_manager().live_leases(), 0);
     }
 
     #[test]

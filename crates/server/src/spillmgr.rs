@@ -52,18 +52,16 @@ pub struct SpillDirManager {
     quota_bytes: u64,
     charged: AtomicU64,
     orphans_removed: usize,
-    /// The server-wide spill I/O backend every session spills through.
+    /// The server-wide spill I/O handle every session spills through.
     io: SpillIoHandle,
-    /// Live leases, for the cross-session I/O bandwidth split.
+    /// Live leases.
     live: AtomicUsize,
 }
 
 impl SpillDirManager {
     /// Creates (or adopts) the root directory and removes orphaned
     /// `session-*` subdirectories from previous processes.  All sessions
-    /// spill through the shared `io` backend: on the batched backend the
-    /// manager re-splits the in-flight read budget across live leases
-    /// ([`SpillIoHandle`]'s cross-session governor hook).
+    /// spill through the shared `io` handle.
     pub fn new(cfg: SpillManagerConfig, io: SpillIoHandle) -> io::Result<Arc<Self>> {
         let (root, owns_root) = match cfg.root {
             Some(root) => (root, false),
@@ -97,7 +95,7 @@ impl SpillDirManager {
         }))
     }
 
-    /// The shared spill I/O backend (one handle for the whole server).
+    /// The shared spill I/O handle (one for the whole server).
     pub fn io(&self) -> &SpillIoHandle {
         &self.io
     }
@@ -127,8 +125,7 @@ impl SpillDirManager {
     pub fn lease(self: &Arc<Self>, session_id: u64) -> io::Result<SpillDirLease> {
         let path = self.root.join(format!("session-{session_id:08}"));
         std::fs::create_dir(&path)?;
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.io.rebalance_shared(live);
+        self.live.fetch_add(1, Ordering::Relaxed);
         Ok(SpillDirLease {
             manager: Arc::clone(self),
             path,
@@ -218,8 +215,7 @@ impl Drop for SpillDirLease {
     fn drop(&mut self) {
         std::fs::remove_dir_all(&self.path).ok();
         self.manager.uncharge(self.charged);
-        let live = self.manager.live.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.manager.io.rebalance_shared(live.max(1));
+        self.manager.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

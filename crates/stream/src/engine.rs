@@ -20,14 +20,14 @@
 //! metric set (`stream.*` / `groupby.*`).
 
 use crate::metrics::{m, EngineMetrics, StreamMetrics};
-use crate::pipeline::{PrefetchSource, RunPrefetcher, SpillPipeline};
+use crate::pipeline::{RunPrefetcher, SpillPipeline};
 use crate::spill::{
     per_run_reader_budget, sealed::Sealed, var_payload_bytes, var_payload_should_spill,
     with_transient_retry, wrap_spill_err, write_run_with_retry, RunReader, SpillSpace, SpillValue,
     SpilledRun,
 };
 use crate::spillio::SpillIoHandle;
-use dtsort::{IntegerKey, SpillIoMode, StreamConfig};
+use dtsort::{IntegerKey, StreamConfig};
 use parlay::kway::{BlockSource, LoserTree, RunSource};
 use std::collections::VecDeque;
 use std::io;
@@ -177,8 +177,8 @@ type Run<R> = Vec<(<R as RunReducer>::RunKey, <R as RunReducer>::Output)>;
 /// [`dtsort::SpillRetryPolicy::probation_spills`] clean spills succeed.
 pub struct RunEngine<R: RunReducer> {
     pub(crate) cfg: StreamConfig,
-    /// The spill I/O backend every read and write goes through
-    /// ([`StreamConfig::spill_io`]); possibly shared with sibling engines.
+    /// The spill I/O handle every read and write goes through; possibly
+    /// shared with sibling engines, possibly fault-injecting.
     pub(crate) io: SpillIoHandle,
     pub(crate) reducer: R,
     pub(crate) run_capacity: usize,
@@ -676,10 +676,8 @@ impl<V: SpillValue> RunMerge<V> {
 /// Read-ahead is silently a no-op in two regimes, both reported through
 /// the returned flags (and the `prefetch.disabled_merges` /
 /// `prefetch.capped_merges` metrics) rather than only through slower
-/// merges: a fan-in above the backend's cap ([`MAX_PREFETCH_RUNS`] under
-/// `Blocking`, where one thread per run would be a thread explosion; the
-/// in-flight cap under `Batched`, where more runs than queue slots would
-/// starve each other), and a per-run budget share below
+/// merges: a fan-in above [`MAX_PREFETCH_RUNS`] (one thread per run would
+/// be a thread explosion), and a per-run budget share below
 /// [`MIN_PREFETCH_RUN_BUDGET`] (the double-buffered blocks would be too
 /// small to hide any read latency).  Returns `(cursors,
 /// read_ahead_disabled, capped_by_fan_in)`; the second flag covers both
@@ -691,13 +689,7 @@ pub(crate) fn open_run_cursors<V: SpillValue>(
 ) -> io::Result<(Vec<RunCursor<V>>, bool, bool)> {
     let reader_budget = per_run_reader_budget(cfg.merge_read_buffer_bytes, runs.len());
     let wants = cfg.wants_merge_read_ahead() && !runs.is_empty();
-    let fan_in_cap = match io.mode() {
-        SpillIoMode::Blocking => MAX_PREFETCH_RUNS,
-        // One in-flight read per run: more runs than queue slots would
-        // leave some feeds permanently starved, so cap at the depth.
-        SpillIoMode::Batched => io.max_inflight().max(1),
-    };
-    let capped = wants && runs.len() > fan_in_cap;
+    let capped = wants && runs.len() > MAX_PREFETCH_RUNS;
     let prefetch = wants && !capped && reader_budget >= MIN_PREFETCH_RUN_BUDGET;
     let read_ahead_disabled = wants && !prefetch;
     if obs::enabled() {
@@ -725,7 +717,7 @@ pub(crate) fn open_run_cursors<V: SpillValue>(
             })
             .collect::<io::Result<_>>()?;
         for p in prefetchers {
-            cursors.push(RunCursor::from_prefetch(p.into_source())?);
+            cursors.push(RunCursor::from_prefetch(p)?);
         }
     } else {
         for (i, run) in runs.iter().enumerate() {
@@ -777,12 +769,12 @@ impl<V: SpillValue> RunCursor<V> {
         }
     }
 
-    /// A cursor fed by a [`RunPrefetcher`]'s batch source.  The first
+    /// A cursor fed by a [`RunPrefetcher`].  The first
     /// block is received here, so early read errors surface as a `Result`
     /// exactly like [`RunCursor::open_disk`]'s eager first read; errors in
     /// later blocks panic mid-merge (documented on
     /// [`crate::SortedStream`]).
-    pub(crate) fn from_prefetch(mut src: PrefetchSource<V>) -> io::Result<Self> {
+    pub(crate) fn from_prefetch(mut src: RunPrefetcher<V>) -> io::Result<Self> {
         let mut first = match src.recv() {
             Some(res) => Some(res?),
             None => None, // empty run

@@ -27,18 +27,17 @@
 //!
 //! Because the decorator wraps a *handle* and not the backend, fault
 //! scope is per handle: a server can give one session a faulted view of
-//! the shared batched pool while every other session keeps the clean
-//! view — which is exactly how the cross-session quarantine tests prove
-//! one tenant's disk trouble cannot leak into another's bytes.
+//! the shared backend while every other session keeps the clean view —
+//! which is exactly how the cross-session quarantine tests prove one
+//! tenant's disk trouble cannot leak into another's bytes.
 //!
 //! CI selects a plan for whole test binaries through the
 //! `PISORT_FAULT_PLAN` environment variable (`"<seed>"` or
 //! `"<seed>:<period>"`, see [`FaultPlan::from_env`]); chaos tests read it
-//! themselves and decorate their engines explicitly — constructing a
-//! handle via `from_config` never injects anything.
+//! themselves and decorate their engines explicitly — an engine's default
+//! handle never injects anything.
 
-use crate::spillio::{sealed_io, JobPool, SpillIo, SpillRead, SpillWrite};
-use dtsort::SpillIoMode;
+use crate::spillio::{sealed_io, SpillIo, SpillRead, SpillWrite};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,9 +68,9 @@ pub enum FaultKind {
     /// [`FaultPlan::seeded`]'s default mix: only checksummed spill
     /// formats can detect it.
     CorruptByte = 7,
-    /// The write panics (caught by the spill writer thread / the batched
-    /// pool worker).  **Not** in the default mix: a panic on a
-    /// synchronous spill path would unwind into the caller.
+    /// The write panics (caught by the background spill writer thread).
+    /// **Not** in the default mix: a panic on a synchronous spill path
+    /// would unwind into the caller.
     WritePanic = 8,
 }
 
@@ -214,7 +213,7 @@ impl FaultPlan {
 
 /// The fault-injecting decorator over an inner [`SpillIo`] backend.
 /// Built by [`crate::spillio::SpillIoHandle::with_faults`]; shares the
-/// inner backend (pool, buffers, knobs) and only filters the data paths.
+/// inner backend and only filters the data paths.
 pub(crate) struct FaultIo {
     inner: Arc<dyn SpillIo>,
     plan: FaultPlan,
@@ -258,38 +257,6 @@ impl SpillIo for FaultIo {
             }),
             len,
         ))
-    }
-
-    fn mode(&self) -> SpillIoMode {
-        self.inner.mode()
-    }
-
-    fn max_inflight(&self) -> usize {
-        self.inner.max_inflight()
-    }
-
-    fn set_max_inflight(&self, n: usize) {
-        self.inner.set_max_inflight(n);
-    }
-
-    fn pool(&self) -> Option<JobPool> {
-        self.inner.pool()
-    }
-
-    fn workers(&self) -> usize {
-        self.inner.workers()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.inner.queue_depth()
-    }
-
-    fn set_write_fuse(&self, bytes: u64) {
-        self.inner.set_write_fuse(bytes);
-    }
-
-    fn set_write_fuse_panics(&self, on: bool) {
-        self.inner.set_write_fuse_panics(on);
     }
 }
 
@@ -340,9 +307,8 @@ impl SpillWrite for FaultWrite {
         let this = *self;
         if this.plan.decide(FaultKind::FsyncTransient) {
             // The bytes may or may not be durable — exactly the fsync
-            // ambiguity.  Complete the inner writer (so no worker is left
-            // holding the file) but report failure; recovery rewrites the
-            // whole run.
+            // ambiguity.  Complete the inner writer (so the file is closed)
+            // but report failure; recovery rewrites the whole run.
             let _ = this.inner.finish();
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
@@ -503,16 +469,5 @@ mod tests {
         let p = FaultPlan::parse(" 9:17 ").unwrap();
         assert_eq!(p.inner.seed, 9);
         assert_eq!(p.inner.period, 17);
-    }
-
-    #[test]
-    fn decorator_delegates_backend_shape() {
-        let io = SpillIoHandle::batched(3, 8).with_faults(FaultPlan::seeded(1, 1000));
-        assert_eq!(io.mode(), SpillIoMode::Batched);
-        assert!(io.pool().is_some(), "pool shared through the decorator");
-        assert_eq!(io.max_inflight(), 8);
-        io.rebalance_shared(2);
-        assert_eq!(io.max_inflight(), 4, "rebalance reaches the inner core");
-        io.rebalance_shared(1);
     }
 }

@@ -362,13 +362,12 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
     }
 
     pub fn with_config(agg: G, cfg: StreamConfig) -> Self {
-        let io = SpillIoHandle::from_config(&cfg);
-        Self::with_config_and_io(agg, cfg, io)
+        Self::with_config_and_io(agg, cfg, SpillIoHandle::blocking())
     }
 
     /// Like [`StreamGroupBy::with_config`], but spilling through a
-    /// caller-provided I/O backend — this is how a multi-session server
-    /// shares one batched worker pool across every engine.
+    /// caller-provided I/O handle — this is how a multi-session server
+    /// shares one handle across sessions.
     pub fn with_config_and_io(agg: G, cfg: StreamConfig, io: SpillIoHandle) -> Self {
         let reducer = AggregateRuns {
             agg,
@@ -416,7 +415,7 @@ impl<K: IntegerKey, G: Aggregator> GroupedStream<K, G> {
         self.merge.read_ahead_disabled
     }
 
-    /// Whether read-ahead was disabled specifically by the backend's
+    /// Whether read-ahead was disabled specifically by the merge
     /// fan-in cap; see [`crate::SortedStream::prefetch_capped`].
     pub fn prefetch_capped(&self) -> bool {
         self.merge.prefetch_capped

@@ -97,27 +97,18 @@
 //! attempted.  [`dtsort::StreamConfig::synchronous_spill`] turns the
 //! whole stage off (the reference behavior for the differential tests).
 //!
-//! ## Spill I/O backends
+//! ## Spill I/O
 //!
 //! All spill reads and writes go through the crate-private `SpillIo`
-//! abstraction (re-exported as the opaque [`SpillIoHandle`]), selected by
-//! [`dtsort::StreamConfig::spill_io`]:
-//!
-//! * [`SpillIoMode::Blocking`] (default) — buffered `File` I/O on the
-//!   calling thread, byte-for-byte the original path and the
-//!   differential reference.
-//! * [`SpillIoMode::Batched`] — a fixed pool of
-//!   [`dtsort::StreamConfig::spill_io_workers`] I/O threads behind a
-//!   submission queue bounded by
-//!   [`dtsort::StreamConfig::spill_io_queue_depth`], with pooled,
-//!   recycled transfer buffers.  Writes are chunked and submitted
-//!   asynchronously (`finish` still syncs before a run is recorded
-//!   durable), reads are double-buffered, and the merge read-ahead
-//!   becomes one scheduler with at most `queue_depth` in-flight
-//!   requests instead of one thread per run.
-//!
-//! Both backends produce byte-identical spill files and sorted output;
-//! the differential suites pin that equivalence.
+//! abstraction (re-exported as the opaque [`SpillIoHandle`]).  There is
+//! one backend: buffered `File` I/O on the calling thread — the engine
+//! thread for synchronous spills, the background writer for pipelined
+//! ones, one read-ahead thread per run during the merge.  The handle
+//! exists so a session can be given a decorated view of it: the
+//! deterministic fault injector ([`FaultPlan`],
+//! [`SpillIoHandle::with_faults`]) wraps it for the chaos suites, and the
+//! server shares one handle across sessions.
+//! [`dtsort::StreamConfig::spill_io`] / [`SpillIoMode`] are one-valued.
 //!
 //! ## Streaming group-by
 //!

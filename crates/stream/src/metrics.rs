@@ -31,12 +31,8 @@
 //! | `prefetch.stall_ns` | histogram | merge-side wait for the next block |
 //! | `prefetch.blocks_prefetched` | counter | blocks decoded ahead of the merge |
 //! | `prefetch.blocks_consumed` | counter | blocks the merge actually took |
-//! | `prefetch.disabled_merges` | counter | merges that wanted read-ahead but ran without it (fan-in above the backend's cap, or per-run budget below `MIN_PREFETCH_RUN_BUDGET`) |
-//! | `prefetch.capped_merges` | counter | merges whose read-ahead was disabled *specifically* by the fan-in cap (`MAX_PREFETCH_RUNS` for `Blocking`, the in-flight cap for `Batched`) |
-//! | `spillio.jobs` | counter | jobs submitted to the batched I/O workers |
-//! | `spillio.queue_depth` | gauge | batched I/O jobs in flight (queued + running) |
-//! | `spillio.inline_jobs` | counter | jobs run inline by their submitter because the queue was at depth (submit never blocks) |
-//! | `spillio.complete_ns` | histogram | per-job service time on the batched I/O workers |
+//! | `prefetch.disabled_merges` | counter | merges that wanted read-ahead but ran without it (fan-in above `MAX_PREFETCH_RUNS`, or per-run budget below `MIN_PREFETCH_RUN_BUDGET`) |
+//! | `prefetch.capped_merges` | counter | merges whose read-ahead was disabled *specifically* by the `MAX_PREFETCH_RUNS` fan-in cap |
 //! | `spill.retries` | counter | transient spill-I/O failures retried (writes and merge-side reads) |
 //! | `spill.degraded_syncs` | counter | synchronous spills performed while pipelining was on probation after a failure |
 //! | `fault.injected` | counter | faults injected by an active [`crate::FaultPlan`] (zero outside chaos runs) |
@@ -73,11 +69,6 @@ pub struct StreamMetrics {
     pub blocks_consumed: obs::Counter,
     pub prefetch_disabled_merges: obs::Counter,
     pub prefetch_capped_merges: obs::Counter,
-
-    pub spillio_jobs: obs::Counter,
-    pub spillio_queue_depth: obs::Gauge,
-    pub spillio_inline_jobs: obs::Counter,
-    pub spillio_complete_ns: obs::Histogram,
 
     pub spill_retries: obs::Counter,
     pub degraded_syncs: obs::Counter,
@@ -118,10 +109,6 @@ pub(crate) fn m() -> &'static StreamMetrics {
             blocks_consumed: reg.counter("prefetch.blocks_consumed"),
             prefetch_disabled_merges: reg.counter("prefetch.disabled_merges"),
             prefetch_capped_merges: reg.counter("prefetch.capped_merges"),
-            spillio_jobs: reg.counter("spillio.jobs"),
-            spillio_queue_depth: reg.gauge("spillio.queue_depth"),
-            spillio_inline_jobs: reg.counter("spillio.inline_jobs"),
-            spillio_complete_ns: reg.histogram("spillio.complete_ns"),
             spill_retries: reg.counter("spill.retries"),
             degraded_syncs: reg.counter("spill.degraded_syncs"),
             fault_injected: reg.counter("fault.injected"),

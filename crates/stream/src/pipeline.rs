@@ -13,14 +13,12 @@
 //!   channel bound is the backpressure: the engines run at most one run
 //!   in flight (`SPILL_PIPELINE_DEPTH`), paid for by a budget share
 //!   ([`dtsort::StreamConfig::spill_shares`]).
-//! * [`RunPrefetcher`] — per-run **merge read-ahead** that decodes record
-//!   blocks ahead of the k-way merge through a bounded channel sized by
-//!   the per-run share of the merge read budget, so the loser tree pops
-//!   from warm memory instead of cold buffered reads.  Under the
-//!   `Blocking` spill-I/O backend this is one thread per run; under
-//!   `Batched` it is a [`BatchedFeed`] — resubmit-on-consume decode tasks
-//!   multiplexed onto the backend's fixed worker pool, so a k-way merge
-//!   needs `spill_io_workers` threads instead of k.
+//! * [`RunPrefetcher`] — per-run **merge read-ahead**: one decode thread
+//!   per spilled run fills a bounded channel with record blocks sized by
+//!   the run's share of the merge read budget, so the loser tree pops
+//!   from warm memory instead of cold buffered reads.  The engine caps
+//!   the fan-in ([`crate::engine::MAX_PREFETCH_RUNS`]) so the thread
+//!   count stays bounded.
 //!
 //! ## Error and ordering contract
 //!
@@ -37,7 +35,7 @@
 
 use crate::metrics::m;
 use crate::spill::{wrap_spill_err, write_run_with_retry, RunReader, SpillValue, SpilledRun};
-use crate::spillio::{JobPool, SpillIoHandle};
+use crate::spillio::SpillIoHandle;
 use dtsort::{IntegerKey, SpillCompression, SpillRetryPolicy};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -350,8 +348,7 @@ fn writer_loop<K: IntegerKey, V: SpillValue>(
 
 /// Decodes the next batch of records (roughly `block_bytes` of decoded
 /// payload) from `reader`; returns the batch and whether the run is now
-/// exhausted.  Shared by both read-ahead schedulers so the two backends
-/// produce identical batch streams.
+/// exhausted.
 fn decode_one_block<V: SpillValue>(
     reader: &mut RunReader<V>,
     block_bytes: usize,
@@ -384,173 +381,20 @@ fn decode_one_block<V: SpillValue>(
     Ok((block, end_of_run))
 }
 
-/// Where a merge cursor's read-ahead batches come from: a dedicated
-/// decode thread per run (`Blocking`), or resubmit-on-consume tasks on
-/// the shared batched I/O workers (`Batched`).
-pub(crate) enum PrefetchSource<V: SpillValue> {
-    Thread(Receiver<io::Result<Vec<(u64, V)>>>),
-    Batched(BatchedFeed<V>),
-}
-
-impl<V: SpillValue> PrefetchSource<V> {
-    /// The next decoded batch: `None` is clean end of run, `Some(Err)` a
-    /// read error (terminal — no further batches follow).
-    pub fn recv(&mut self) -> Option<io::Result<Vec<(u64, V)>>> {
-        match self {
-            PrefetchSource::Thread(rx) => rx.recv().ok(),
-            PrefetchSource::Batched(feed) => feed.recv(),
-        }
-    }
-}
-
-/// One message per decode task: the batch, and whether it is the run's
-/// last (error or end of run).
-struct FeedMsg<V> {
-    block: io::Result<Vec<(u64, V)>>,
-    last: bool,
-}
-
-/// The per-run producer state a decode task operates on.  `None` once the
-/// run is exhausted or failed.
-struct FeedWork<V: SpillValue> {
-    reader: RunReader<V>,
-    block_bytes: usize,
-    tx: SyncSender<FeedMsg<V>>,
-    index: usize,
-}
-
-/// Batched-backend read-ahead for one run: short-lived decode tasks on
-/// the shared I/O workers, **resubmitted on consume** — at most one task
-/// per run is ever in flight, and each task sends exactly one message
-/// into a capacity-1 channel, so a task never blocks a worker on its
-/// output side.  On the input side a decode step may span several read
-/// chunks; the claimable-pread discipline in `spillio.rs` services those
-/// inline on the decoding worker (and `submit` never blocks on a full
-/// queue), so a task cannot wedge the pool waiting on I/O jobs queued
-/// behind it — even with merge fan-in at or above the worker count.
-/// That is what lets a k-way merge run with `spill_io_workers` threads
-/// total where the thread scheduler needed k.
-pub(crate) struct BatchedFeed<V: SpillValue> {
-    rx: Receiver<FeedMsg<V>>,
-    state: Arc<Mutex<Option<FeedWork<V>>>>,
-    pool: JobPool,
-    done: bool,
-}
-
-impl<V: SpillValue> BatchedFeed<V> {
-    fn start(pool: JobPool, reader: RunReader<V>, block_bytes: usize, index: usize) -> Self {
-        let (tx, rx) = sync_channel::<FeedMsg<V>>(1);
-        let state = Arc::new(Mutex::new(Some(FeedWork {
-            reader,
-            block_bytes,
-            tx,
-            index,
-        })));
-        let task_state = Arc::clone(&state);
-        pool.submit(Box::new(move || pump_feed(&task_state)));
-        Self {
-            rx,
-            state,
-            pool,
-            done: false,
-        }
-    }
-
-    fn recv(&mut self) -> Option<io::Result<Vec<(u64, V)>>> {
-        if self.done {
-            return None;
-        }
-        let msg = match self.rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => {
-                // Unreachable by construction (the work state owns the
-                // sender until the last message); surface it rather than
-                // serving a silently short run.
-                self.done = true;
-                return Some(Err(io::Error::other("spill prefetch task lost its feed")));
-            }
-        };
-        if msg.last {
-            self.done = true;
-        } else {
-            // Resubmit before handing the batch out, so the next decode
-            // overlaps with the consumer working through this one.
-            let state = Arc::clone(&self.state);
-            self.pool.submit(Box::new(move || pump_feed(&state)));
-        }
-        match msg.block {
-            Ok(block) if block.is_empty() => None, // clean end of run
-            other => Some(other),
-        }
-    }
-}
-
-/// One decode step of a [`BatchedFeed`], run on an I/O worker.  A panic
-/// inside a value deserializer is converted to an error message (the
-/// worker survives; the consumer sees `Some(Err)`).
-fn pump_feed<V: SpillValue>(state: &Mutex<Option<FeedWork<V>>>) {
-    let mut guard = state.lock().expect("prefetch feed state");
-    let Some(work) = guard.as_mut() else { return };
-    let _span = obs::span!("prefetch", run = work.index);
-    let block_bytes = work.block_bytes;
-    let decoded = catch_unwind(AssertUnwindSafe(|| {
-        decode_one_block(&mut work.reader, block_bytes)
-    }));
-    let (msg, keep) = match decoded {
-        Ok(Ok((block, end))) => (
-            FeedMsg {
-                block: Ok(block),
-                last: end,
-            },
-            !end,
-        ),
-        Ok(Err(e)) => (
-            FeedMsg {
-                block: Err(e),
-                last: true,
-            },
-            false,
-        ),
-        Err(panic) => {
-            let what = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            (
-                FeedMsg {
-                    block: Err(io::Error::other(format!("spill prefetch panicked: {what}"))),
-                    last: true,
-                },
-                false,
-            )
-        }
-    };
-    let tx = work.tx.clone();
-    if !keep {
-        *guard = None; // drop the reader: the run is finished or failed
-    }
-    drop(guard);
-    // Capacity-1 channel with exactly one task in flight per run: this
-    // send never blocks the worker.
-    let _ = tx.send(msg);
-}
-
-/// Read-ahead stage of the final merge: decodes one spilled run into
-/// record batches ahead of the consumer.  Under the `Blocking` backend
-/// this is a dedicated thread per run (bounded to one queued batch, so at
-/// most ~three are in flight: queued, decoding, being consumed); under
-/// `Batched` it is a [`BatchedFeed`] on the shared I/O workers.
+/// Read-ahead stage of the final merge: a dedicated thread decodes one
+/// spilled run into record batches ahead of the consumer, bounded to one
+/// queued batch (so at most ~three are in flight: queued, decoding, being
+/// consumed).
 ///
 /// The producer stops when the run is exhausted, on the first read error
 /// (which it forwards), or when the consumer hangs up.
 pub(crate) struct RunPrefetcher<V: SpillValue> {
-    source: PrefetchSource<V>,
+    rx: Receiver<io::Result<Vec<(u64, V)>>>,
 }
 
 impl<V: SpillValue> RunPrefetcher<V> {
     /// Opens `run` through `io` (surfacing open-time validation errors
-    /// synchronously) and starts the read-ahead producer.  `reader_budget`
+    /// synchronously) and starts the read-ahead thread.  `reader_budget`
     /// is this run's share of the merge read budget, split so the total
     /// stays within the share: half for the underlying buffered reader,
     /// the rest for the decoded batches — of which up to three are alive
@@ -570,12 +414,6 @@ impl<V: SpillValue> RunPrefetcher<V> {
     ) -> io::Result<Self> {
         let mut reader: RunReader<V> = RunReader::open(io, run, (reader_budget / 2).max(64))?;
         let block_bytes = (reader_budget / 6).max(64);
-        if let Some(pool) = io.pool() {
-            let feed = BatchedFeed::start(pool, reader, block_bytes, index);
-            return Ok(Self {
-                source: PrefetchSource::Batched(feed),
-            });
-        }
         let (tx, rx) = sync_channel::<io::Result<Vec<(u64, V)>>>(1);
         std::thread::Builder::new()
             .name("pisort-run-prefetch".to_string())
@@ -602,14 +440,13 @@ impl<V: SpillValue> RunPrefetcher<V> {
                 }
             })
             .expect("failed to spawn prefetch thread");
-        Ok(Self {
-            source: PrefetchSource::Thread(rx),
-        })
+        Ok(Self { rx })
     }
 
-    /// The batch source the merge cursor pulls from.
-    pub fn into_source(self) -> PrefetchSource<V> {
-        self.source
+    /// The next decoded batch: `None` is clean end of run, `Some(Err)` a
+    /// read error (terminal — no further batches follow).
+    pub fn recv(&mut self) -> Option<io::Result<Vec<(u64, V)>>> {
+        self.rx.recv().ok()
     }
 }
 
@@ -724,59 +561,52 @@ mod tests {
         let dir = tmp_dir("prefetch");
         let path: &Path = &dir.join("run.bin");
         let records: Vec<(u64, u64)> = (0..10_000u64).map(|i| (i, i * 3)).collect();
-        // Both encodings × both backends must stream identical batches.
-        for io in [bio(), SpillIoHandle::batched(2, 8)] {
-            for compression in [SpillCompression::Off, SpillCompression::DeltaLz] {
-                let run = write_run(&io, path, &records, compression).unwrap();
-                // A tiny budget forces many small blocks through the channel.
-                let mut src = RunPrefetcher::<u64>::spawn(&io, &run, 8 << 10, 0)
-                    .unwrap()
-                    .into_source();
-                let mut got: Vec<(u64, u64)> = Vec::new();
-                let mut blocks = 0usize;
-                while let Some(block) = src.recv() {
-                    got.extend(block.expect("clean run must not error"));
-                    blocks += 1;
-                }
-                assert!(blocks > 5, "expected several blocks, got {blocks}");
-                assert_eq!(got, records);
+        // Both encodings must stream identical batches.
+        for compression in [SpillCompression::Off, SpillCompression::DeltaLz] {
+            let run = write_run(&bio(), path, &records, compression).unwrap();
+            // A tiny budget forces many small blocks through the channel.
+            let mut src = RunPrefetcher::<u64>::spawn(&bio(), &run, 8 << 10, 0).unwrap();
+            let mut got: Vec<(u64, u64)> = Vec::new();
+            let mut blocks = 0usize;
+            while let Some(block) = src.recv() {
+                got.extend(block.expect("clean run must not error"));
+                blocks += 1;
             }
+            assert!(blocks > 5, "expected several blocks, got {blocks}");
+            assert_eq!(got, records);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn prefetcher_forwards_read_errors() {
-        for io in [bio(), SpillIoHandle::batched(1, 4)] {
-            let dir = tmp_dir("prefetch-err");
-            let path = dir.join("run.bin");
-            let records: Vec<(u64, u64)> = (0..1000u64).map(|i| (i, i)).collect();
-            let good = write_run(&io, &path, &records, SpillCompression::Off).unwrap();
-            // Lie about the record count: the reader must hit the in-stream
-            // guard and the prefetcher must forward it (not hang or panic).
-            let run = SpilledRun {
-                path,
-                len: records.len() + 1,
-                bytes: good.bytes + 16,
-                raw_bytes: good.raw_bytes + 16,
-                compression: SpillCompression::Off,
-                retries: 0,
-            };
-            match RunPrefetcher::<u64>::spawn(&io, &run, 4096, 0) {
-                Err(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
-                Ok(p) => {
-                    let mut src = p.into_source();
-                    let mut saw_error = false;
-                    while let Some(block) = src.recv() {
-                        if block.is_err() {
-                            saw_error = true;
-                            break;
-                        }
+        let dir = tmp_dir("prefetch-err");
+        let path = dir.join("run.bin");
+        let records: Vec<(u64, u64)> = (0..1000u64).map(|i| (i, i)).collect();
+        let good = write_run(&bio(), &path, &records, SpillCompression::Off).unwrap();
+        // Lie about the record count: the reader must hit the in-stream
+        // guard and the prefetcher must forward it (not hang or panic).
+        let run = SpilledRun {
+            path,
+            len: records.len() + 1,
+            bytes: good.bytes + 16,
+            raw_bytes: good.raw_bytes + 16,
+            compression: SpillCompression::Off,
+            retries: 0,
+        };
+        match RunPrefetcher::<u64>::spawn(&bio(), &run, 4096, 0) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            Ok(mut src) => {
+                let mut saw_error = false;
+                while let Some(block) = src.recv() {
+                    if block.is_err() {
+                        saw_error = true;
+                        break;
                     }
-                    assert!(saw_error, "overcount must surface as a read error");
                 }
+                assert!(saw_error, "overcount must surface as a read error");
             }
-            std::fs::remove_dir_all(&dir).ok();
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -971,8 +971,8 @@ mod tests {
         dir.join(name)
     }
 
-    /// The blocking reference backend, used by every format test here
-    /// (backend differentials live in `spillio.rs` and `tests/`).
+    /// The spill I/O handle every format test here reads and writes
+    /// through.
     fn bio() -> SpillIoHandle {
         SpillIoHandle::blocking()
     }

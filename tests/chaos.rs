@@ -76,23 +76,15 @@ fn fault_specs() -> Vec<(u64, u64)> {
     vec![(0xC4A0_5001, 23), (0xC4A0_5002, 23)]
 }
 
-/// The backend × (codec, spill-mode) matrix each chaos scenario sweeps.
-fn cells() -> Vec<(&'static str, SpillCompression, bool)> {
+/// The (codec, spill-mode) matrix each chaos scenario sweeps.
+fn cells() -> [(SpillCompression, bool); 4] {
     use SpillCompression::{DeltaLz, Off};
-    let mut m = Vec::new();
-    for backend in ["blocking", "batched"] {
-        for (c, s) in [(Off, true), (Off, false), (DeltaLz, true), (DeltaLz, false)] {
-            m.push((backend, c, s));
-        }
-    }
-    m
+    [(Off, true), (Off, false), (DeltaLz, true), (DeltaLz, false)]
 }
 
-fn make_io(backend: &str) -> SpillIoHandle {
-    match backend {
-        "blocking" => SpillIoHandle::blocking(),
-        _ => SpillIoHandle::batched(2, 8),
-    }
+/// A spill I/O handle that injects faults per `plan`.
+fn faulted_io(plan: &FaultPlan) -> SpillIoHandle {
+    SpillIoHandle::blocking().with_faults(plan.clone())
 }
 
 fn cfg(base: &Path, compression: SpillCompression, synchronous: bool) -> dtsort::StreamConfig {
@@ -116,8 +108,7 @@ fn assert_attributable(e: &io::Error, ctx: &str) {
 }
 
 /// The main sweep: the distribution matrix under a blanket fault mix
-/// (every error-returning site), on every backend × format × spill-mode
-/// cell.  `finish_vec` is used so merge-time read faults surface as
+/// (every error-returning site), on every format × spill-mode cell.  `finish_vec` is used so merge-time read faults surface as
 /// `Err`, keeping the whole cell in the loud-or-lossless contract.
 #[test]
 fn faulted_sorts_are_byte_identical_or_loudly_typed() {
@@ -135,15 +126,15 @@ fn faulted_sorts_are_byte_identical_or_loudly_typed() {
             let input = generate_pairs_u32(dist, N, 0xC4A0_0000 + di as u64);
             let mut want = input.clone();
             want.sort_by_key(|r| r.0);
-            for (backend, compression, synchronous) in cells() {
+            for (compression, synchronous) in cells() {
                 let ctx = format!(
-                    "sorter seed={seed} period={period} dist={} backend={backend} \
+                    "sorter seed={seed} period={period} dist={} \
                      compression={compression:?} sync={synchronous}",
                     dist.label()
                 );
                 let base = case_dir("sort");
                 let plan = FaultPlan::seeded(seed ^ (di as u64) << 32, period);
-                let io = make_io(backend).with_faults(plan.clone());
+                let io = faulted_io(&plan);
                 let mut sorter: StreamSorter<u32, u32> =
                     StreamSorter::with_config_and_io(cfg(&base, compression, synchronous), io);
                 let mut push_err = None;
@@ -208,14 +199,14 @@ fn faulted_group_bys_aggregate_exactly_or_loudly_typed() {
     let want: Vec<(u32, u64)> = want.into_iter().collect();
     let mut injected_total = 0u64;
     for (seed, period) in fault_specs() {
-        for (backend, compression, synchronous) in cells() {
+        for (compression, synchronous) in cells() {
             let ctx = format!(
-                "group-by seed={seed} period={period} backend={backend} \
+                "group-by seed={seed} period={period} \
                  compression={compression:?} sync={synchronous}"
             );
             let base = case_dir("group");
             let plan = FaultPlan::seeded_kinds(seed, period, WRITE_SIDE);
-            let io = make_io(backend).with_faults(plan.clone());
+            let io = faulted_io(&plan);
             let mut gb: StreamGroupBy<u32, SumAgg> =
                 StreamGroupBy::with_config_and_io(SumAgg, cfg(&base, compression, synchronous), io);
             let mut push_err = None;
@@ -257,14 +248,12 @@ fn single_transient_faults_are_recovered_exactly_with_visible_retries() {
         ("fsync", FaultKind::FsyncTransient, 2),
         ("read", FaultKind::ReadTransient, 3),
     ];
-    for (backend, compression, synchronous) in cells() {
+    for (compression, synchronous) in cells() {
         for (name, kind, n) in targets {
-            let ctx = format!(
-                "targeted {name} backend={backend} compression={compression:?} sync={synchronous}"
-            );
+            let ctx = format!("targeted {name} compression={compression:?} sync={synchronous}");
             let base = case_dir("nth");
             let plan = FaultPlan::nth(kind, n);
-            let io = make_io(backend).with_faults(plan.clone());
+            let io = faulted_io(&plan);
             let mut sorter: StreamSorter<u32, u32> =
                 StreamSorter::with_config_and_io(cfg(&base, compression, synchronous), io);
             for chunk in input.chunks(CHUNK) {
@@ -318,73 +307,71 @@ fn torn_write_degrades_recovers_and_reports_probation() {
     for &(k, v) in &gb_input {
         *gb_want.entry(k).or_default() += v;
     }
-    for backend in ["blocking", "batched"] {
-        let ctx = format!("torn-write backend={backend}");
-        let base = case_dir("torn");
-        let plan = FaultPlan::nth(FaultKind::TornWrite, 4);
-        let io = make_io(backend).with_faults(plan.clone());
-        let mut sorter: StreamSorter<u32, u32> =
-            StreamSorter::with_config_and_io(cfg(&base, SpillCompression::Off, false), io);
-        // The broken pipeline reports its error on exactly one push (or
-        // the flush); afterwards the engine carries on synchronously.
-        let mut errors = 0usize;
-        for chunk in input.chunks(CHUNK) {
-            if let Err(e) = sorter.push(chunk) {
-                assert_attributable(&e, &ctx);
-                errors += 1;
-            }
-        }
-        if let Err(e) = sorter.flush_spills() {
+    let ctx = "torn-write".to_string();
+    let base = case_dir("torn");
+    let plan = FaultPlan::nth(FaultKind::TornWrite, 4);
+    let io = faulted_io(&plan);
+    let mut sorter: StreamSorter<u32, u32> =
+        StreamSorter::with_config_and_io(cfg(&base, SpillCompression::Off, false), io);
+    // The broken pipeline reports its error on exactly one push (or
+    // the flush); afterwards the engine carries on synchronously.
+    let mut errors = 0usize;
+    for chunk in input.chunks(CHUNK) {
+        if let Err(e) = sorter.push(chunk) {
             assert_attributable(&e, &ctx);
             errors += 1;
         }
-        assert_eq!(plan.injected(), 1, "the torn write must have fired [{ctx}]");
-        assert_eq!(errors, 1, "exactly one loud error [{ctx}]");
-        assert!(
-            sorter.stats().degraded_syncs >= 1,
-            "probation must be visible in stats [{ctx}]: {:?}",
-            sorter.stats()
-        );
-        let got = sorter.finish_vec().unwrap();
-        assert_eq!(got, want, "no record may be lost to the torn write [{ctx}]");
-        assert_empty_and_remove(&base, &ctx);
-
-        // The group-by engine through the same torn write: one loud error,
-        // probation visible, aggregates exact.
-        let ctx = format!("torn-write group-by backend={backend}");
-        let base = case_dir("torn-gb");
-        let plan = FaultPlan::nth(FaultKind::TornWrite, 4);
-        let io = make_io(backend).with_faults(plan.clone());
-        let mut gb: StreamGroupBy<u32, SumAgg> =
-            StreamGroupBy::with_config_and_io(SumAgg, cfg(&base, SpillCompression::Off, false), io);
-        let mut errors = 0usize;
-        for chunk in gb_input.chunks(CHUNK) {
-            if let Err(e) = gb.push(chunk) {
-                assert_attributable(&e, &ctx);
-                errors += 1;
-            }
-        }
-        if let Err(e) = gb.flush_spills() {
-            assert_attributable(&e, &ctx);
-            errors += 1;
-        }
-        assert_eq!(plan.injected(), 1, "the torn write must have fired [{ctx}]");
-        assert_eq!(errors, 1, "exactly one loud error [{ctx}]");
-        assert!(
-            gb.stats().degraded_syncs >= 1,
-            "probation must be visible in stats [{ctx}]: {:?}",
-            gb.stats()
-        );
-        let got = gb.finish_vec().unwrap();
-        assert_eq!(got.len(), gb_want.len(), "one aggregate per key [{ctx}]");
-        for (k, sum) in got {
-            assert_eq!(
-                sum, gb_want[&k],
-                "key {k}: aggregate lost to the torn write [{ctx}]"
-            );
-        }
-        assert_empty_and_remove(&base, &ctx);
     }
+    if let Err(e) = sorter.flush_spills() {
+        assert_attributable(&e, &ctx);
+        errors += 1;
+    }
+    assert_eq!(plan.injected(), 1, "the torn write must have fired [{ctx}]");
+    assert_eq!(errors, 1, "exactly one loud error [{ctx}]");
+    assert!(
+        sorter.stats().degraded_syncs >= 1,
+        "probation must be visible in stats [{ctx}]: {:?}",
+        sorter.stats()
+    );
+    let got = sorter.finish_vec().unwrap();
+    assert_eq!(got, want, "no record may be lost to the torn write [{ctx}]");
+    assert_empty_and_remove(&base, &ctx);
+
+    // The group-by engine through the same torn write: one loud error,
+    // probation visible, aggregates exact.
+    let ctx = "torn-write group-by".to_string();
+    let base = case_dir("torn-gb");
+    let plan = FaultPlan::nth(FaultKind::TornWrite, 4);
+    let io = faulted_io(&plan);
+    let mut gb: StreamGroupBy<u32, SumAgg> =
+        StreamGroupBy::with_config_and_io(SumAgg, cfg(&base, SpillCompression::Off, false), io);
+    let mut errors = 0usize;
+    for chunk in gb_input.chunks(CHUNK) {
+        if let Err(e) = gb.push(chunk) {
+            assert_attributable(&e, &ctx);
+            errors += 1;
+        }
+    }
+    if let Err(e) = gb.flush_spills() {
+        assert_attributable(&e, &ctx);
+        errors += 1;
+    }
+    assert_eq!(plan.injected(), 1, "the torn write must have fired [{ctx}]");
+    assert_eq!(errors, 1, "exactly one loud error [{ctx}]");
+    assert!(
+        gb.stats().degraded_syncs >= 1,
+        "probation must be visible in stats [{ctx}]: {:?}",
+        gb.stats()
+    );
+    let got = gb.finish_vec().unwrap();
+    assert_eq!(got.len(), gb_want.len(), "one aggregate per key [{ctx}]");
+    for (k, sum) in got {
+        assert_eq!(
+            sum, gb_want[&k],
+            "key {k}: aggregate lost to the torn write [{ctx}]"
+        );
+    }
+    assert_empty_and_remove(&base, &ctx);
 }
 
 /// Mid-merge read faults on the *streaming* iterator keep the documented
@@ -396,38 +383,36 @@ fn mid_merge_read_faults_are_loud_and_clean_up() {
     let input = generate_pairs_u32(&Distribution::Zipfian { s: 1.2 }, N, 0xC4A0_9000);
     let mut want = input.clone();
     want.sort_by_key(|r| r.0);
-    for backend in ["blocking", "batched"] {
-        for n in [0u64, 7, 31, 200] {
-            let ctx = format!("mid-merge-read backend={backend} nth={n}");
-            let base = case_dir("midread");
-            let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
-            let io = make_io(backend).with_faults(plan.clone());
-            let mut sorter: StreamSorter<u32, u32> =
-                StreamSorter::with_config_and_io(cfg(&base, SpillCompression::DeltaLz, true), io);
-            for chunk in input.chunks(CHUNK) {
-                sorter.push(chunk).unwrap();
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(move || -> io::Result<Vec<(u32, u32)>> {
-                Ok(sorter.finish()?.collect())
-            }));
-            match outcome {
-                // The fault landed on a retried path (cursor open) or
-                // never fired: the drain must then be exact.
-                Ok(Ok(got)) => assert_eq!(got, want, "absorbed read fault changed bytes [{ctx}]"),
-                Ok(Err(e)) => assert_attributable(&e, &ctx),
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_default();
-                    assert!(
-                        msg.contains("injected") || msg.contains("I/O error reading spilled run"),
-                        "unattributable mid-merge panic [{ctx}]: {msg}"
-                    );
-                }
-            }
-            assert_empty_and_remove(&base, &ctx);
+    for n in [0u64, 7, 31, 200] {
+        let ctx = format!("mid-merge-read nth={n}");
+        let base = case_dir("midread");
+        let plan = FaultPlan::nth(FaultKind::ReadTransient, n);
+        let io = faulted_io(&plan);
+        let mut sorter: StreamSorter<u32, u32> =
+            StreamSorter::with_config_and_io(cfg(&base, SpillCompression::DeltaLz, true), io);
+        for chunk in input.chunks(CHUNK) {
+            sorter.push(chunk).unwrap();
         }
+        let outcome = catch_unwind(AssertUnwindSafe(move || -> io::Result<Vec<(u32, u32)>> {
+            Ok(sorter.finish()?.collect())
+        }));
+        match outcome {
+            // The fault landed on a retried path (cursor open) or
+            // never fired: the drain must then be exact.
+            Ok(Ok(got)) => assert_eq!(got, want, "absorbed read fault changed bytes [{ctx}]"),
+            Ok(Err(e)) => assert_attributable(&e, &ctx),
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("injected") || msg.contains("I/O error reading spilled run"),
+                    "unattributable mid-merge panic [{ctx}]: {msg}"
+                );
+            }
+        }
+        assert_empty_and_remove(&base, &ctx);
     }
 }

@@ -328,94 +328,6 @@ fn string_keyed_sorter_agrees_with_comparison_sort_across_formats() {
 }
 
 #[test]
-fn spill_io_backends_produce_identical_output_at_one_and_four_threads() {
-    // The batched spill I/O backend is held to the blocking reference the
-    // way the compressed format is held to the flat one: pod, varlen and
-    // string-keyed records through every (encoding, spill-mode) cell must
-    // come out *identical* under both backends, at 1 and 4 worker
-    // threads.  Both sides pin `spill_io` explicitly so a CI environment
-    // override (`PISORT_SPILL_IO`) cannot collapse the comparison.
-    use parlay::par::with_threads;
-    use stream::{SpillIoMode, StreamSorter, StringStreamSorter};
-    use workloads::generate_string_pairs;
-    let seed = case_seed(5000);
-    let dist = Distribution::Zipfian { s: 1.2 };
-    let pod_input = generate_pairs_u32(&dist, N, seed);
-    let var_input = generate_string_pairs(&dist, N, 32, seed, 0, 96);
-    let str_input: Vec<(String, u32)> = pod_input
-        .iter()
-        .enumerate()
-        .map(|(i, &(k, _))| {
-            (
-                format!("t{:02}/shard-{:06}/item", k % 7, k % 4096),
-                i as u32,
-            )
-        })
-        .collect();
-
-    let io_cfg = |mode, compression, synchronous| dtsort::StreamConfig {
-        spill_io: mode,
-        spill_io_workers: 2,
-        spill_io_queue_depth: 16,
-        ..spill_cfg(32 << 10, compression, synchronous)
-    };
-
-    for threads in [1usize, 4] {
-        for (compression, synchronous) in spill_format_matrix() {
-            let ctx = format!(
-                "threads={threads} compression={compression:?} sync={synchronous} seed={seed}"
-            );
-            with_threads(threads, || {
-                let run_pod = |mode| {
-                    let mut s: StreamSorter<u32, u32> =
-                        StreamSorter::with_config(io_cfg(mode, compression, synchronous));
-                    for chunk in pod_input.chunks(777) {
-                        s.push(chunk).unwrap();
-                    }
-                    assert!(s.stats().spilled_runs > 1, "expected spills [{ctx}]");
-                    s.finish().unwrap().collect::<Vec<(u32, u32)>>()
-                };
-                assert_eq!(
-                    run_pod(SpillIoMode::Blocking),
-                    run_pod(SpillIoMode::Batched),
-                    "pod backend divergence [{ctx}]"
-                );
-
-                let run_var = |mode| {
-                    let mut s: StreamSorter<u64, String> =
-                        StreamSorter::with_config(io_cfg(mode, compression, synchronous));
-                    for chunk in var_input.chunks(777) {
-                        s.push(chunk).unwrap();
-                    }
-                    assert!(s.stats().spilled_runs > 1, "expected spills [{ctx}]");
-                    s.finish().unwrap().collect::<Vec<(u64, String)>>()
-                };
-                assert_eq!(
-                    run_var(SpillIoMode::Blocking),
-                    run_var(SpillIoMode::Batched),
-                    "varlen backend divergence [{ctx}]"
-                );
-
-                let run_str = |mode| {
-                    let mut s: StringStreamSorter<String, u32> =
-                        StringStreamSorter::with_config(io_cfg(mode, compression, synchronous));
-                    for chunk in str_input.chunks(777) {
-                        s.push(chunk).unwrap();
-                    }
-                    assert!(s.stats().spilled_runs > 1, "expected spills [{ctx}]");
-                    s.finish().unwrap().collect::<Vec<(String, u32)>>()
-                };
-                assert_eq!(
-                    run_str(SpillIoMode::Blocking),
-                    run_str(SpillIoMode::Batched),
-                    "string-key backend divergence [{ctx}]"
-                );
-            });
-        }
-    }
-}
-
-#[test]
 fn streaming_sorter_agrees_with_in_memory_sort() {
     // The streaming path (spilled runs + k-way merge) against the same
     // reference, on the heaviest and lightest instance of each family.

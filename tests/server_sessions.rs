@@ -20,7 +20,7 @@ use dtsort::{SortConfig, StreamConfig};
 use server::{
     AdmissionPolicy, GovernorConfig, ServerConfig, SessionError, SortServer, SpillManagerConfig,
 };
-use stream::{FaultKind, FaultPlan, SpillCompression, SpillIoMode, StreamSorter, SumAgg};
+use stream::{FaultKind, FaultPlan, SpillCompression, StreamSorter, SumAgg};
 use workloads::dist::{generate_pairs_u32, paper_instances};
 
 /// Sessions per scenario — enough that admissions force several reclaims.
@@ -210,12 +210,12 @@ fn interleaved_group_sessions_match_solo_runs() {
     }
 }
 
-/// Cross-session fault isolation over the shared **batched** backend:
+/// Cross-session fault isolation over the shared spill I/O handle:
 ///
 /// * session A gets a one-shot injected spill-write panic — the writer
 ///   thread catches it, the run is reclaimed and rewritten, and A's
-///   output is byte-identical (a worker panic in one session must not
-///   poison the shared [`stream::SpillIoHandle`] pool);
+///   output is byte-identical (a writer panic in one session must not
+///   poison the shared [`stream::SpillIoHandle`]);
 /// * session C gets a dense permanent ENOSPC plan — it fails loudly with
 ///   a typed [`SessionError`] naming its own tenant, kind preserved;
 /// * clean session B, interleaved with both, stays byte-identical to a
@@ -237,12 +237,7 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
             admission: AdmissionPolicy::Reject,
         },
         spill: SpillManagerConfig::default(),
-        base: StreamConfig {
-            spill_io: SpillIoMode::Batched,
-            spill_io_workers: 2,
-            spill_io_queue_depth: 8,
-            ..base_config(false, SpillCompression::Off)
-        },
+        base: base_config(false, SpillCompression::Off),
     })
     .unwrap();
 

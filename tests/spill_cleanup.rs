@@ -14,8 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use stream::{
-    FaultKind, FaultPlan, SpillCompression, SpillIoHandle, SpillIoMode, StreamGroupBy,
-    StreamSorter, SumAgg,
+    FaultKind, FaultPlan, SpillCompression, SpillIoHandle, StreamGroupBy, StreamSorter, SumAgg,
 };
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -43,43 +42,27 @@ fn assert_empty_and_remove(base: &Path, ctx: &str) {
     std::fs::remove_dir_all(base).ok();
 }
 
-fn cfg(
-    base: &Path,
-    compression: SpillCompression,
-    synchronous: bool,
-    io: SpillIoMode,
-) -> dtsort::StreamConfig {
+fn cfg(base: &Path, compression: SpillCompression, synchronous: bool) -> dtsort::StreamConfig {
     dtsort::StreamConfig {
         spill_dir: Some(base.to_path_buf()),
         spill_compression: compression,
         synchronous_spill: synchronous,
-        spill_io: io,
-        spill_io_workers: 2,
-        spill_io_queue_depth: 8,
         ..dtsort::StreamConfig::with_memory_budget(16 << 10)
     }
 }
 
-/// The (compression, spill-mode, io-backend) matrix every scenario below
-/// runs under.
-fn matrix() -> Vec<(SpillCompression, bool, SpillIoMode)> {
+/// The (compression, spill-mode) matrix every scenario below runs under.
+fn matrix() -> [(SpillCompression, bool); 4] {
     use SpillCompression::{DeltaLz, Off};
-    let mut m = Vec::new();
-    for io in [SpillIoMode::Blocking, SpillIoMode::Batched] {
-        for (c, s) in [(Off, true), (Off, false), (DeltaLz, true), (DeltaLz, false)] {
-            m.push((c, s, io));
-        }
-    }
-    m
+    [(Off, true), (Off, false), (DeltaLz, true), (DeltaLz, false)]
 }
 
 fn spilled_sorter(
     base: &Path,
     compression: SpillCompression,
     sync: bool,
-    io: SpillIoMode,
 ) -> StreamSorter<u32, u32> {
-    let mut s: StreamSorter<u32, u32> = StreamSorter::with_config(cfg(base, compression, sync, io));
+    let mut s: StreamSorter<u32, u32> = StreamSorter::with_config(cfg(base, compression, sync));
     let batch: Vec<(u32, u32)> = (0..20_000u32).map(|i| (i.rotate_left(16), i)).collect();
     s.push(&batch).unwrap();
     assert!(s.stats().spilled_runs > 0, "premise: runs on disk");
@@ -90,10 +73,9 @@ fn spilled_group_by(
     base: &Path,
     compression: SpillCompression,
     sync: bool,
-    io: SpillIoMode,
 ) -> StreamGroupBy<u32, SumAgg> {
     let mut g: StreamGroupBy<u32, SumAgg> =
-        StreamGroupBy::with_config(SumAgg, cfg(base, compression, sync, io));
+        StreamGroupBy::with_config(SumAgg, cfg(base, compression, sync));
     let batch: Vec<(u32, u64)> = (0..40_000u32).map(|i| (i.rotate_left(16), 1)).collect();
     g.push(&batch).unwrap();
     assert!(g.stats().spilled_runs > 0, "premise: partials on disk");
@@ -102,12 +84,10 @@ fn spilled_group_by(
 
 #[test]
 fn sorter_cleans_up_after_full_drain() {
-    for (compression, sync, io) in matrix() {
-        let ctx = format!("sorter drain compression={compression:?} sync={sync} io={io:?}");
+    for (compression, sync) in matrix() {
+        let ctx = format!("sorter drain compression={compression:?} sync={sync}");
         let base = case_dir("sorter-drain");
-        let stream = spilled_sorter(&base, compression, sync, io)
-            .finish()
-            .unwrap();
+        let stream = spilled_sorter(&base, compression, sync).finish().unwrap();
         assert!(std::fs::read_dir(&base).unwrap().count() > 0, "[{ctx}]");
         let n = stream.count();
         assert_eq!(n, 20_000, "[{ctx}]");
@@ -117,22 +97,19 @@ fn sorter_cleans_up_after_full_drain() {
 
 #[test]
 fn sorter_cleans_up_when_dropped_before_and_mid_merge() {
-    for (compression, sync, io) in matrix() {
+    for (compression, sync) in matrix() {
         // Dropped without ever calling finish (spills possibly in flight
         // to the writer thread).
-        let ctx = format!("sorter early-drop compression={compression:?} sync={sync} io={io:?}");
+        let ctx = format!("sorter early-drop compression={compression:?} sync={sync}");
         let base = case_dir("sorter-drop");
-        drop(spilled_sorter(&base, compression, sync, io));
+        drop(spilled_sorter(&base, compression, sync));
         assert_empty_and_remove(&base, &ctx);
 
         // Dropped with the merge only partially consumed: run cursors and
         // read-ahead prefetchers are still open on the spill files.
-        let ctx =
-            format!("sorter mid-merge-drop compression={compression:?} sync={sync} io={io:?}");
+        let ctx = format!("sorter mid-merge-drop compression={compression:?} sync={sync}");
         let base = case_dir("sorter-middrop");
-        let mut stream = spilled_sorter(&base, compression, sync, io)
-            .finish()
-            .unwrap();
+        let mut stream = spilled_sorter(&base, compression, sync).finish().unwrap();
         for _ in 0..100 {
             stream.next().unwrap();
         }
@@ -143,28 +120,23 @@ fn sorter_cleans_up_when_dropped_before_and_mid_merge() {
 
 #[test]
 fn group_by_cleans_up_after_full_drain_and_early_drop() {
-    for (compression, sync, io) in matrix() {
-        let ctx = format!("group-by drain compression={compression:?} sync={sync} io={io:?}");
+    for (compression, sync) in matrix() {
+        let ctx = format!("group-by drain compression={compression:?} sync={sync}");
         let base = case_dir("groupby-drain");
-        let groups = spilled_group_by(&base, compression, sync, io)
-            .finish()
-            .unwrap();
+        let groups = spilled_group_by(&base, compression, sync).finish().unwrap();
         assert!(std::fs::read_dir(&base).unwrap().count() > 0, "[{ctx}]");
         let total: u64 = groups.map(|(_, c)| c).sum();
         assert_eq!(total, 40_000, "[{ctx}]");
         assert_empty_and_remove(&base, &ctx);
 
-        let ctx = format!("group-by early-drop compression={compression:?} sync={sync} io={io:?}");
+        let ctx = format!("group-by early-drop compression={compression:?} sync={sync}");
         let base = case_dir("groupby-drop");
-        drop(spilled_group_by(&base, compression, sync, io));
+        drop(spilled_group_by(&base, compression, sync));
         assert_empty_and_remove(&base, &ctx);
 
-        let ctx =
-            format!("group-by mid-merge-drop compression={compression:?} sync={sync} io={io:?}");
+        let ctx = format!("group-by mid-merge-drop compression={compression:?} sync={sync}");
         let base = case_dir("groupby-middrop");
-        let mut groups = spilled_group_by(&base, compression, sync, io)
-            .finish()
-            .unwrap();
+        let mut groups = spilled_group_by(&base, compression, sync).finish().unwrap();
         groups.next().unwrap();
         drop(groups);
         assert_empty_and_remove(&base, &ctx);
@@ -175,16 +147,16 @@ fn group_by_cleans_up_after_full_drain_and_early_drop() {
 fn spill_files_are_cleaned_up_during_panic_unwinding() {
     // A panic on the owning thread unwinds through the engine's drop glue,
     // which must still stop the writer thread and remove the directory.
-    for (compression, sync, io) in matrix() {
+    for (compression, sync) in matrix() {
         for engine in ["sorter", "group-by"] {
-            let ctx = format!("{engine} panic compression={compression:?} sync={sync} io={io:?}");
+            let ctx = format!("{engine} panic compression={compression:?} sync={sync}");
             let base = case_dir("panic");
             let thrown = catch_unwind(AssertUnwindSafe(|| {
                 if engine == "sorter" {
-                    let _s = spilled_sorter(&base, compression, sync, io);
+                    let _s = spilled_sorter(&base, compression, sync);
                     panic!("consumer bug [{ctx}]");
                 } else {
-                    let _g = spilled_group_by(&base, compression, sync, io);
+                    let _g = spilled_group_by(&base, compression, sync);
                     panic!("consumer bug [{ctx}]");
                 }
             }));
@@ -199,10 +171,10 @@ fn spill_files_are_cleaned_up_after_merge_io_errors() {
     // Deleting a spill file out from under the sorter makes finish() fail
     // at cursor-open time; the error path must still tear down the spill
     // directory (including the surviving runs).
-    for (compression, sync, io) in matrix() {
-        let ctx = format!("io-error compression={compression:?} sync={sync} io={io:?}");
+    for (compression, sync) in matrix() {
+        let ctx = format!("io-error compression={compression:?} sync={sync}");
         let base = case_dir("ioerr");
-        let mut sorter = spilled_sorter(&base, compression, sync, io);
+        let mut sorter = spilled_sorter(&base, compression, sync);
         sorter.flush_spills().unwrap();
         // Remove one run file from the engine's unique spill subdirectory.
         let sub = std::fs::read_dir(&base).unwrap().next().unwrap().unwrap();
@@ -225,7 +197,7 @@ fn spill_files_are_cleaned_up_after_merge_io_errors() {
 fn spill_files_are_cleaned_up_after_injected_faults() {
     // Deterministic injected failures ([`FaultPlan::nth`]) on each
     // spill-I/O hot spot — run write, fsync, cursor read, mid-merge
-    // streaming read — under both backends and both formats.  Whether the
+    // streaming read — under both formats and both spill modes.  Whether the
     // engine absorbs the fault, surfaces a typed error, or panics
     // mid-drain (the documented streaming-read contract), teardown must
     // leave the base directory empty.
@@ -236,18 +208,14 @@ fn spill_files_are_cleaned_up_after_injected_faults() {
         ("read", FaultKind::ReadTransient, 1),
         ("mid-merge-read", FaultKind::ReadTransient, 40),
     ];
-    for (compression, sync, io) in matrix() {
+    for (compression, sync) in matrix() {
         for &(name, kind, n) in scenarios {
-            let ctx = format!("fault {name} compression={compression:?} sync={sync} io={io:?}");
+            let ctx = format!("fault {name} compression={compression:?} sync={sync}");
             let base = case_dir("fault");
-            let handle = match io {
-                SpillIoMode::Blocking => SpillIoHandle::blocking(),
-                SpillIoMode::Batched => SpillIoHandle::batched(2, 8),
-            }
-            .with_faults(FaultPlan::nth(kind, n));
+            let handle = SpillIoHandle::blocking().with_faults(FaultPlan::nth(kind, n));
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut s: StreamSorter<u32, u32> =
-                    StreamSorter::with_config_and_io(cfg(&base, compression, sync, io), handle);
+                    StreamSorter::with_config_and_io(cfg(&base, compression, sync), handle);
                 let batch: Vec<(u32, u32)> =
                     (0..20_000u32).map(|i| (i.rotate_left(16), i)).collect();
                 let _ = s.push(&batch);
