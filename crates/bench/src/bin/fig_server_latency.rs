@@ -152,7 +152,14 @@ fn run_level(clients: usize, per_session: usize, batch: usize) -> LevelResult {
     }
 }
 
-fn write_json(path: &str, n: usize, per_session: usize, threads: usize, rows: &[LevelResult]) {
+fn write_json(
+    path: &str,
+    n: usize,
+    per_session: usize,
+    threads: usize,
+    host_cpus: usize,
+    rows: &[LevelResult],
+) {
     let rendered: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -171,6 +178,7 @@ fn write_json(path: &str, n: usize, per_session: usize, threads: usize, rows: &[
             ("sessions", SESSIONS.to_string()),
             ("per_session", per_session.to_string()),
             ("threads", threads.to_string()),
+            ("host_cpus", host_cpus.to_string()),
         ],
         &rendered,
     );
@@ -229,6 +237,7 @@ fn main() {
         n,
         per_session,
         rayon::current_num_threads(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         &rows,
     );
     write_obs_artifacts("server");

@@ -2,11 +2,18 @@
 //!
 //! DTSort (PPoPP 2024) is framed as the sort primitive underneath larger
 //! data systems; this crate is that system's front end.  A [`SortServer`]
-//! hosts many concurrent **sessions**, each owning one streaming engine
-//! ([`stream::StreamSorter`], [`stream::StreamGroupBy`], or the
-//! string-keyed variant), all multiplexed over the process-wide
-//! work-stealing pool.  Two shared resource managers arbitrate what the
-//! single-caller library used to assume it owned outright:
+//! hosts many concurrent **sessions**, all multiplexed over the
+//! process-wide work-stealing pool.  A session is one generic
+//! [`Session<E>`](Session) over any streaming engine ([`stream::Engine`]:
+//! [`stream::StreamSorter`], [`stream::StreamGroupBy`], or the string-key
+//! adapter [`stream::StringKeys`] over either), opened by
+//! [`SortServer::open`] with an optional session-scoped
+//! [`stream::FaultPlan`]; [`SortServer::open_sort`],
+//! [`SortServer::open_group`] and [`SortServer::open_string_sort`] are
+//! shorthands for it.  Every spilling call goes through the session's
+//! quarantine ([`SessionError`]) and disk-quota charge, whatever the
+//! engine.  Two shared resource managers arbitrate what the single-caller
+//! library used to assume it owned outright:
 //!
 //! * [`MemoryGovernor`] — one byte ceiling across all sessions.
 //!   Admission control (queue or reject past the ceiling), proportional
@@ -30,8 +37,5 @@ mod session;
 mod spillmgr;
 
 pub use governor::{AdmissionPolicy, BudgetLease, GovernorConfig, MemoryGovernor, TenantCounters};
-pub use session::{
-    GroupSession, GroupSessionStream, ServerConfig, SessionError, SessionStream, SortServer,
-    SortSession, StringSessionStream, StringSortSession,
-};
+pub use session::{ServerConfig, Session, SessionError, SessionStream, SortServer};
 pub use spillmgr::{SpillDirLease, SpillDirManager, SpillManagerConfig};

@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stream::{
-    Aggregator, FaultPlan, GroupedStream, SortedStream, SpillIoHandle, SpillValue, StreamGroupBy,
-    StreamSorter, StreamStats, StringKey, StringSortedStream, StringStreamSorter,
+    Aggregator, Engine, FaultPlan, SpillIoHandle, SpillValue, StreamGroupBy, StreamSorter,
+    StreamStats, StringKey, StringStreamSorter,
 };
 
 /// A session-scoped failure: the I/O error that broke *one* session,
@@ -95,13 +95,14 @@ pub struct ServerConfig {
 
 /// A multi-session sort service over the streaming engines.
 ///
-/// Each opened session owns one engine ([`StreamSorter`],
-/// [`StreamGroupBy`] or [`StringStreamSorter`]) wired to two leases: a
-/// [`BudgetLease`] from the global [`MemoryGovernor`] (a *live* grant —
-/// admitting more sessions shrinks it, and the engine reacts by spilling
-/// early) and a private spill subdirectory from the shared
-/// [`SpillDirManager`] (so sessions can never trample each other's runs).
-/// All sessions share the process-wide work-stealing pool.
+/// Each opened [`Session`] owns one engine (any [`Engine`]:
+/// [`StreamSorter`], [`StreamGroupBy`] or a string-keyed
+/// [`stream::StringKeys`]) wired to two leases: a [`BudgetLease`] from
+/// the global [`MemoryGovernor`] (a *live* grant — admitting more
+/// sessions shrinks it, and the engine reacts by spilling early) and a
+/// private spill subdirectory from the shared [`SpillDirManager`] (so
+/// sessions can never trample each other's runs).  All sessions share the
+/// process-wide work-stealing pool.
 ///
 /// ```no_run
 /// use server::{ServerConfig, SortServer};
@@ -140,46 +141,50 @@ impl SortServer {
         &self.spill
     }
 
-    /// Admits a session and leases its resources; blocks or fails per the
-    /// governor's admission policy.
-    fn open_core(&self, tenant: &str, requested_bytes: usize) -> io::Result<SessionCore> {
-        let lease = self.governor.admit(tenant, requested_bytes)?;
+    /// Admits a session requesting `bytes` of budget (blocking or failing
+    /// per the governor's admission policy), leases its grant and spill
+    /// subdirectory, and builds its engine with `build` from the session's
+    /// [`StreamConfig`] (the base template with the leased budget handle
+    /// and spill directory wired in) and its view of the shared spill I/O
+    /// handle.
+    ///
+    /// With `faults`, that view injects the deterministic [`FaultPlan`]
+    /// (chaos testing).  The decorator is per *handle*, so faults — and
+    /// any broken state they leave behind — stay scoped to the returned
+    /// session; every other session keeps the clean handle.
+    pub fn open<E: Engine>(
+        &self,
+        tenant: &str,
+        bytes: usize,
+        faults: Option<FaultPlan>,
+        build: impl FnOnce(StreamConfig, SpillIoHandle) -> E,
+    ) -> io::Result<Session<E>> {
+        let lease = self.governor.admit(tenant, bytes)?;
         let id = self.session_seq.fetch_add(1, Ordering::Relaxed);
         let dir = self.spill.lease(id)?;
         if obs::enabled() {
             m().sessions_opened.incr();
         }
-        Ok(SessionCore {
-            id,
-            tenant: tenant.to_string(),
-            lease,
-            dir,
-            charged: 0,
-            failed: false,
-            opened: Instant::now(),
-        })
-    }
-
-    /// The session's view of the shared spill I/O backend — the clean
-    /// handle, or a fault-injecting decorator over it.  The decorator is
-    /// per *handle*, so a faulted session cannot leak faults (or broken
-    /// state) into its neighbors.
-    fn session_io(&self, core: &SessionCore, faults: Option<FaultPlan>) -> SpillIoHandle {
-        let io = core.dir.io().clone();
-        match faults {
-            Some(plan) => io.with_faults(plan),
-            None => io,
-        }
-    }
-
-    /// The session's engine config: the base template with the leased
-    /// budget handle and private spill directory wired in.
-    fn session_config(&self, core: &SessionCore) -> StreamConfig {
         let mut cfg = self.base.clone();
-        cfg.memory_budget_bytes = core.lease.handle().get();
-        cfg.budget = Some(core.lease.handle());
-        cfg.spill_dir = Some(core.dir.path().to_path_buf());
-        cfg
+        cfg.memory_budget_bytes = lease.handle().get();
+        cfg.budget = Some(lease.handle());
+        cfg.spill_dir = Some(dir.path().to_path_buf());
+        let io = match faults {
+            Some(plan) => dir.io().with_faults(plan),
+            None => dir.io().clone(),
+        };
+        Ok(Session {
+            engine: build(cfg, io),
+            core: SessionCore {
+                id,
+                tenant: tenant.to_string(),
+                lease,
+                dir,
+                charged: 0,
+                failed: false,
+                opened: Instant::now(),
+            },
+        })
     }
 
     /// Opens a sorting session over integer keys (values may be pod or
@@ -187,35 +192,9 @@ impl SortServer {
     pub fn open_sort<K: IntegerKey, V: SpillValue>(
         &self,
         tenant: &str,
-        requested_bytes: usize,
-    ) -> io::Result<SortSession<K, V>> {
-        self.open_sort_inner(tenant, requested_bytes, None)
-    }
-
-    /// [`open_sort`](Self::open_sort) with a deterministic [`FaultPlan`]
-    /// injected into *this session's* view of the shared spill I/O
-    /// backend (chaos testing).  Faults — and any broken state they leave
-    /// behind — stay scoped to the returned session; every other session
-    /// keeps the clean handle.
-    pub fn open_sort_with_faults<K: IntegerKey, V: SpillValue>(
-        &self,
-        tenant: &str,
-        requested_bytes: usize,
-        plan: FaultPlan,
-    ) -> io::Result<SortSession<K, V>> {
-        self.open_sort_inner(tenant, requested_bytes, Some(plan))
-    }
-
-    fn open_sort_inner<K: IntegerKey, V: SpillValue>(
-        &self,
-        tenant: &str,
-        requested_bytes: usize,
-        faults: Option<FaultPlan>,
-    ) -> io::Result<SortSession<K, V>> {
-        let core = self.open_core(tenant, requested_bytes)?;
-        let io = self.session_io(&core, faults);
-        let sorter = StreamSorter::with_config_and_io(self.session_config(&core), io);
-        Ok(SortSession { sorter, core })
+        bytes: usize,
+    ) -> io::Result<Session<StreamSorter<K, V>>> {
+        self.open(tenant, bytes, None, StreamSorter::with_config_and_io)
     }
 
     /// Opens a streaming group-by session.
@@ -223,73 +202,27 @@ impl SortServer {
         &self,
         tenant: &str,
         agg: G,
-        requested_bytes: usize,
-    ) -> io::Result<GroupSession<K, G>> {
-        self.open_group_inner(tenant, agg, requested_bytes, None)
-    }
-
-    /// [`open_group`](Self::open_group) with a session-scoped
-    /// [`FaultPlan`] (see [`open_sort_with_faults`](Self::open_sort_with_faults)).
-    pub fn open_group_with_faults<K: IntegerKey, G: Aggregator>(
-        &self,
-        tenant: &str,
-        agg: G,
-        requested_bytes: usize,
-        plan: FaultPlan,
-    ) -> io::Result<GroupSession<K, G>> {
-        self.open_group_inner(tenant, agg, requested_bytes, Some(plan))
-    }
-
-    fn open_group_inner<K: IntegerKey, G: Aggregator>(
-        &self,
-        tenant: &str,
-        agg: G,
-        requested_bytes: usize,
-        faults: Option<FaultPlan>,
-    ) -> io::Result<GroupSession<K, G>> {
-        let core = self.open_core(tenant, requested_bytes)?;
-        let io = self.session_io(&core, faults);
-        let gb = StreamGroupBy::with_config_and_io(agg, self.session_config(&core), io);
-        Ok(GroupSession { gb, core })
+        bytes: usize,
+    ) -> io::Result<Session<StreamGroupBy<K, G>>> {
+        self.open(tenant, bytes, None, |cfg, io| {
+            StreamGroupBy::with_config_and_io(agg, cfg, io)
+        })
     }
 
     /// Opens a sorting session over string keys (`String` / `Vec<u8>`).
     pub fn open_string_sort<K: StringKey, V: SpillValue>(
         &self,
         tenant: &str,
-        requested_bytes: usize,
-    ) -> io::Result<StringSortSession<K, V>> {
-        self.open_string_sort_inner(tenant, requested_bytes, None)
-    }
-
-    /// [`open_string_sort`](Self::open_string_sort) with a session-scoped
-    /// [`FaultPlan`] (see [`open_sort_with_faults`](Self::open_sort_with_faults)).
-    pub fn open_string_sort_with_faults<K: StringKey, V: SpillValue>(
-        &self,
-        tenant: &str,
-        requested_bytes: usize,
-        plan: FaultPlan,
-    ) -> io::Result<StringSortSession<K, V>> {
-        self.open_string_sort_inner(tenant, requested_bytes, Some(plan))
-    }
-
-    fn open_string_sort_inner<K: StringKey, V: SpillValue>(
-        &self,
-        tenant: &str,
-        requested_bytes: usize,
-        faults: Option<FaultPlan>,
-    ) -> io::Result<StringSortSession<K, V>> {
-        let core = self.open_core(tenant, requested_bytes)?;
-        let io = self.session_io(&core, faults);
-        let sorter = StringStreamSorter::with_config_and_io(self.session_config(&core), io);
-        Ok(StringSortSession { sorter, core })
+        bytes: usize,
+    ) -> io::Result<Session<StringStreamSorter<K, V>>> {
+        self.open(tenant, bytes, None, StringStreamSorter::with_config_and_io)
     }
 }
 
-/// The leases + accounting every session kind shares.  Dropping it ends
-/// the session: the budget returns to the governor's pool (waking queued
-/// admissions), the spill subdirectory is removed, and the session's
-/// open-to-end latency is recorded.
+/// The leases + accounting of a session.  Dropping it ends the session:
+/// the budget returns to the governor's pool (waking queued admissions),
+/// the spill subdirectory is removed, and the session's open-to-end
+/// latency is recorded.
 struct SessionCore {
     id: u64,
     tenant: String,
@@ -343,37 +276,45 @@ impl Drop for SessionCore {
     }
 }
 
-/// A sorting session: a [`StreamSorter`] bound to its leases.
-pub struct SortSession<K: IntegerKey, V: SpillValue> {
-    sorter: StreamSorter<K, V>,
+/// A session: one engine bound to its leases, opened by
+/// [`SortServer::open`] (or its `open_sort` / `open_group` /
+/// `open_string_sort` shorthands).
+///
+/// Every engine call that can spill goes through the session's
+/// quarantine: an I/O failure fails *this* session only (the error comes
+/// back as a [`SessionError`] with the source kind preserved; sibling
+/// sessions on the shared backend are unaffected), and spilled bytes are
+/// charged to the disk quota as soon as they are durable.
+pub struct Session<E> {
+    engine: E,
     core: SessionCore,
 }
 
-impl<K: IntegerKey, V: SpillValue> SortSession<K, V> {
-    /// Appends a batch; spilled bytes are charged to the disk quota.  An
-    /// I/O failure quarantines *this* session (the error comes back as a
-    /// [`SessionError`] with the source kind preserved); sibling sessions
-    /// on the shared backend are unaffected.
-    pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
-        if let Err(e) = self.sorter.push(records) {
+impl<E: Engine> Session<E> {
+    /// Runs an engine call that may spill: an error quarantines the
+    /// session, success charges the spill bytes it made durable.
+    fn spilling(&mut self, call: impl FnOnce(&mut E) -> io::Result<()>) -> io::Result<()> {
+        if let Err(e) = call(&mut self.engine) {
             return Err(self.core.fail(e));
         }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)
+        self.core.charge_spill(self.engine.stats().spilled_bytes)
+    }
+
+    /// Appends a batch.
+    pub fn push(&mut self, records: &[(E::Key, E::Value)]) -> io::Result<()> {
+        self.spilling(|e| e.push(records))
     }
 
     /// Appends one record.
-    pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
-        if let Err(e) = self.sorter.push_record(key, value) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)
+    pub fn push_record(&mut self, key: E::Key, value: E::Value) -> io::Result<()> {
+        self.spilling(|e| e.push_record(key, value))
     }
 
     /// Applies a shrunk grant right now (see
-    /// [`StreamSorter::shrink_to_budget`]); `push` re-checks per chunk
-    /// anyway.
+    /// [`stream::RunEngine::shrink_to_budget`]); `push` re-checks per
+    /// chunk anyway.
     pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.sorter.shrink_to_budget()
+        self.spilling(E::shrink_to_budget)
     }
 
     /// The session's current grant in bytes (live: may shrink).
@@ -383,17 +324,14 @@ impl<K: IntegerKey, V: SpillValue> SortSession<K, V> {
 
     /// Engine counters (see [`StreamStats`]).
     pub fn stats(&self) -> &StreamStats {
-        self.sorter.stats()
+        self.engine.stats()
     }
 
-    /// Finishes the sort; the leases ride inside the returned stream and
+    /// Finishes the engine; the leases ride inside the returned stream and
     /// are released when it drops.
-    pub fn finish(mut self) -> io::Result<SessionStream<K, V>> {
-        if let Err(e) = self.sorter.flush_spills() {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)?;
-        match self.sorter.finish() {
+    pub fn finish(mut self) -> io::Result<SessionStream<E::Stream>> {
+        self.spilling(E::flush_spills)?;
+        match self.engine.finish() {
             Ok(inner) => Ok(SessionStream {
                 inner,
                 _core: self.core,
@@ -402,27 +340,25 @@ impl<K: IntegerKey, V: SpillValue> SortSession<K, V> {
         }
     }
 
-    /// [`SortSession::finish`], materialized via the parallel merge.
-    pub fn finish_vec(mut self) -> io::Result<Vec<(K, V)>> {
-        if let Err(e) = self.sorter.flush_spills() {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)?;
-        self.sorter.finish_vec().map_err(|e| self.core.fail(e))
+    /// [`Session::finish`], materialized (a sorter uses its parallel
+    /// merge).
+    pub fn finish_vec(mut self) -> io::Result<Vec<<E::Stream as Iterator>::Item>> {
+        self.spilling(E::flush_spills)?;
+        self.engine.finish_vec().map_err(|e| self.core.fail(e))
     }
 }
 
-/// Sorted output of a [`SortSession`]; holds the session's leases until
+/// Output of a finished [`Session`]; holds the session's leases until
 /// dropped.
-pub struct SessionStream<K: IntegerKey, V: SpillValue> {
-    inner: SortedStream<K, V>,
+pub struct SessionStream<S> {
+    inner: S,
     _core: SessionCore,
 }
 
-impl<K: IntegerKey, V: SpillValue> Iterator for SessionStream<K, V> {
-    type Item = (K, V);
+impl<S: Iterator> Iterator for SessionStream<S> {
+    type Item = S::Item;
 
-    fn next(&mut self) -> Option<(K, V)> {
+    fn next(&mut self) -> Option<S::Item> {
         self.inner.next()
     }
 
@@ -431,157 +367,7 @@ impl<K: IntegerKey, V: SpillValue> Iterator for SessionStream<K, V> {
     }
 }
 
-impl<K: IntegerKey, V: SpillValue> ExactSizeIterator for SessionStream<K, V> {}
-
-/// A group-by session: a [`StreamGroupBy`] bound to its leases.
-pub struct GroupSession<K: IntegerKey, G: Aggregator> {
-    gb: StreamGroupBy<K, G>,
-    core: SessionCore,
-}
-
-impl<K: IntegerKey, G: Aggregator> GroupSession<K, G> {
-    /// Appends a batch; failures quarantine this session only (see
-    /// [`SortSession::push`]).
-    pub fn push(&mut self, records: &[(K, G::Input)]) -> io::Result<()> {
-        if let Err(e) = self.gb.push(records) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.gb.stats().spilled_bytes)
-    }
-
-    pub fn push_record(&mut self, key: K, value: G::Input) -> io::Result<()> {
-        if let Err(e) = self.gb.push_record(key, value) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.gb.stats().spilled_bytes)
-    }
-
-    /// See [`StreamGroupBy::shrink_to_budget`].
-    pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.gb.shrink_to_budget()
-    }
-
-    /// The session's current grant in bytes (live: may shrink).
-    pub fn granted_bytes(&self) -> usize {
-        self.core.lease.granted_bytes()
-    }
-
-    /// Engine counters (see [`StreamStats`]).
-    pub fn stats(&self) -> &StreamStats {
-        self.gb.stats()
-    }
-
-    /// Finishes the group-by; leases ride inside the returned stream.
-    pub fn finish(mut self) -> io::Result<GroupSessionStream<K, G>> {
-        if let Err(e) = self.gb.flush_spills() {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.gb.stats().spilled_bytes)?;
-        match self.gb.finish() {
-            Ok(inner) => Ok(GroupSessionStream {
-                inner,
-                _core: self.core,
-            }),
-            Err(e) => Err(self.core.fail(e)),
-        }
-    }
-
-    pub fn finish_vec(self) -> io::Result<Vec<(K, G::Acc)>> {
-        Ok(self.finish()?.collect())
-    }
-}
-
-/// Grouped output of a [`GroupSession`]; holds the session's leases until
-/// dropped.
-pub struct GroupSessionStream<K: IntegerKey, G: Aggregator> {
-    inner: GroupedStream<K, G>,
-    _core: SessionCore,
-}
-
-impl<K: IntegerKey, G: Aggregator> Iterator for GroupSessionStream<K, G> {
-    type Item = (K, G::Acc);
-
-    fn next(&mut self) -> Option<(K, G::Acc)> {
-        self.inner.next()
-    }
-}
-
-/// A string-keyed sorting session: a [`StringStreamSorter`] bound to its
-/// leases.
-pub struct StringSortSession<K: StringKey, V: SpillValue> {
-    sorter: StringStreamSorter<K, V>,
-    core: SessionCore,
-}
-
-impl<K: StringKey, V: SpillValue> StringSortSession<K, V> {
-    /// Appends a batch; failures quarantine this session only (see
-    /// [`SortSession::push`]).
-    pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
-        if let Err(e) = self.sorter.push(records) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)
-    }
-
-    pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
-        if let Err(e) = self.sorter.push_record(key, value) {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)
-    }
-
-    /// See [`StringStreamSorter::shrink_to_budget`].
-    pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.sorter.shrink_to_budget()
-    }
-
-    /// The session's current grant in bytes (live: may shrink).
-    pub fn granted_bytes(&self) -> usize {
-        self.core.lease.granted_bytes()
-    }
-
-    pub fn stats(&self) -> &StreamStats {
-        self.sorter.stats()
-    }
-
-    /// Finishes the sort; leases ride inside the returned stream.
-    pub fn finish(mut self) -> io::Result<StringSessionStream<K, V>> {
-        if let Err(e) = self.sorter.flush_spills() {
-            return Err(self.core.fail(e));
-        }
-        self.core.charge_spill(self.sorter.stats().spilled_bytes)?;
-        match self.sorter.finish() {
-            Ok(inner) => Ok(StringSessionStream {
-                inner,
-                _core: self.core,
-            }),
-            Err(e) => Err(self.core.fail(e)),
-        }
-    }
-
-    pub fn finish_vec(self) -> io::Result<Vec<(K, V)>> {
-        Ok(self.finish()?.collect())
-    }
-}
-
-/// Sorted output of a [`StringSortSession`]; holds the session's leases
-/// until dropped.
-pub struct StringSessionStream<K: StringKey, V: SpillValue> {
-    inner: StringSortedStream<K, V>,
-    _core: SessionCore,
-}
-
-impl<K: StringKey, V: SpillValue> Iterator for StringSessionStream<K, V> {
-    type Item = (K, V);
-
-    fn next(&mut self) -> Option<(K, V)> {
-        self.inner.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
+impl<S: ExactSizeIterator> ExactSizeIterator for SessionStream<S> {}
 
 #[cfg(test)]
 mod tests {

@@ -16,8 +16,11 @@
 //!   each group into one partial aggregate.
 //!
 //! A reducer also fixes the run-capacity formula, the run-file stem
-//! (`run-` / `agg-`), the trace span (`sort_run` / `aggregate_run`) and the
-//! metric set (`stream.*` / `groupby.*`).
+//! (`run-` / `agg-`), the trace span (`sort_run` / `aggregate_run`), the
+//! metric set (`stream.*` / `groupby.*`) and the output stream.
+//!
+//! [`Engine`] is the push → finish surface they (and the string-key
+//! adapter over either) share, so a caller is written once for all.
 
 use crate::metrics::{m, EngineMetrics, StreamMetrics};
 use crate::pipeline::{RunPrefetcher, SpillPipeline};
@@ -124,7 +127,7 @@ impl Default for StreamStats {
 /// How a [`RunEngine`] turns a full run buffer into a spillable run.
 /// Sealed: implemented by [`crate::SortRuns`] and
 /// [`crate::AggregateRuns`] only.
-pub trait RunReducer: Sealed {
+pub trait RunReducer: Sealed + Sized {
     /// Pushed key type.
     type Key: IntegerKey;
     /// Pushed value type.
@@ -156,7 +159,70 @@ pub trait RunReducer: Sealed {
         cfg: &StreamConfig,
         stats: &mut StreamStats,
     ) -> Vec<(Self::RunKey, Self::Output)>;
+    /// The finished engine's output.
+    type Stream: Iterator;
+    /// Wraps the final merge into the output stream.
+    #[doc(hidden)]
+    fn into_stream(self, merge: RunMerge<Self::Output>) -> Self::Stream;
+    /// [`RunEngine::finish`], materialized; the sorter overrides it with
+    /// its parallel merge.
+    #[doc(hidden)]
+    fn finish_vec(engine: RunEngine<Self>) -> io::Result<Vec<Item<Self>>> {
+        Ok(engine.finish()?.collect())
+    }
 }
+
+/// The push → finish surface shared by every streaming engine:
+/// [`crate::StreamSorter`], [`crate::StreamGroupBy`] and the string-key
+/// adapter over either ([`crate::StringKeys`]), which are its only
+/// implementations (sealed).  Generic callers such as the server's
+/// sessions are written once against it and stay monomorphized.  The
+/// methods are the [`RunEngine`] methods of the same names.
+pub trait Engine: Sealed {
+    type Key;
+    type Value;
+    type Stream: Iterator;
+    fn push(&mut self, records: &[(Self::Key, Self::Value)]) -> io::Result<()>;
+    fn push_record(&mut self, key: Self::Key, value: Self::Value) -> io::Result<()>;
+    fn stats(&self) -> &StreamStats;
+    fn flush_spills(&mut self) -> io::Result<()>;
+    fn shrink_to_budget(&mut self) -> io::Result<()>;
+    fn finish(self) -> io::Result<Self::Stream>;
+    fn finish_vec(self) -> io::Result<Vec<<Self::Stream as Iterator>::Item>>;
+}
+
+impl<R: RunReducer> Sealed for RunEngine<R> {}
+
+impl<R: RunReducer> Engine for RunEngine<R> {
+    type Key = R::Key;
+    type Value = R::Input;
+    type Stream = R::Stream;
+
+    fn push(&mut self, records: &[(R::Key, R::Input)]) -> io::Result<()> {
+        RunEngine::push(self, records)
+    }
+    fn push_record(&mut self, key: R::Key, value: R::Input) -> io::Result<()> {
+        RunEngine::push_record(self, key, value)
+    }
+    fn stats(&self) -> &StreamStats {
+        RunEngine::stats(self)
+    }
+    fn flush_spills(&mut self) -> io::Result<()> {
+        RunEngine::flush_spills(self)
+    }
+    fn shrink_to_budget(&mut self) -> io::Result<()> {
+        RunEngine::shrink_to_budget(self)
+    }
+    fn finish(self) -> io::Result<R::Stream> {
+        RunEngine::finish(self)
+    }
+    fn finish_vec(self) -> io::Result<Vec<Item<R>>> {
+        RunEngine::finish_vec(self)
+    }
+}
+
+/// An output record of a finished engine.
+type Item<R> = <<R as RunReducer>::Stream as Iterator>::Item;
 
 /// A reduced run, as spilled and merged.
 type Run<R> = Vec<(<R as RunReducer>::RunKey, <R as RunReducer>::Output)>;
@@ -588,6 +654,24 @@ impl<R: RunReducer> RunEngine<R> {
         self.teardown_pipeline().map_or(Ok(()), Err)
     }
 
+    /// Finishes into the output stream; a writer-side spill error that has
+    /// not surfaced on a `push` yet surfaces here.  The stream holds one
+    /// read buffer per spilled run (bounded by
+    /// [`StreamConfig::merge_read_buffer_bytes`], decoded ahead of the
+    /// merge unless read-ahead is off or disabled, see
+    /// [`crate::SortedStream::read_ahead_disabled`]) plus the in-memory
+    /// runs, so its footprint stays within the budget.
+    pub fn finish(self) -> io::Result<R::Stream> {
+        let (merge, reducer) = self.into_merge()?;
+        Ok(reducer.into_stream(merge))
+    }
+
+    /// [`RunEngine::finish`], materialized into a vector (for the sorter,
+    /// via the parallel merge of [`crate::StreamSorter::finish_into`]).
+    pub fn finish_vec(self) -> io::Result<Vec<Item<R>>> {
+        R::finish_vec(self)
+    }
+
     /// Closes the pipeline, reduces the buffered tail, and opens the k-way
     /// merge over every run: spilled runs first, then pending runs, then
     /// the tail, so equal keys leave in push order.  Hands the reducer
@@ -597,6 +681,9 @@ impl<R: RunReducer> RunEngine<R> {
         let tail = self.reduce_run(Vec::new());
         let (mut cursors, read_ahead_disabled, prefetch_capped) =
             open_run_cursors::<R::Output>(&self.runs, &self.cfg, &self.io)?;
+        let remaining = self.runs.iter().map(|r| r.len).sum::<usize>()
+            + self.pending_runs.iter().map(Vec::len).sum::<usize>()
+            + tail.len();
         let ordered = |run: Run<R>| -> Vec<(u64, R::Output)> {
             run.into_iter()
                 .map(|(k, v)| (k.to_ordered_u64(), v))
@@ -614,6 +701,7 @@ impl<R: RunReducer> RunEngine<R> {
         };
         let merge = RunMerge {
             source,
+            remaining,
             read_ahead_disabled,
             prefetch_capped,
             // Records the merge phase as one span from here until the
@@ -644,8 +732,10 @@ pub(crate) enum MergeSource<V: SpillValue> {
 /// as long as it does.  Field order is drop order: the cursors close
 /// before the span is recorded and before the spill directory (with its
 /// run files) is deleted.
-pub(crate) struct RunMerge<V: SpillValue> {
+pub struct RunMerge<V: SpillValue> {
     pub(crate) source: MergeSource<V>,
+    /// Records not yet popped.
+    pub(crate) remaining: usize,
     pub(crate) read_ahead_disabled: bool,
     pub(crate) prefetch_capped: bool,
     /// Open `merge` trace span; recorded when the merge is dropped.
@@ -660,10 +750,12 @@ pub(crate) struct RunMerge<V: SpillValue> {
 impl<V: SpillValue> RunMerge<V> {
     /// The next record in `(ordered key, run order)` order.
     pub(crate) fn pop(&mut self) -> Option<(u64, V)> {
-        match &mut self.source {
+        let record = match &mut self.source {
             MergeSource::Single(run) => run.next(),
             MergeSource::Tree(tree) => tree.pop(),
-        }
+        }?;
+        self.remaining -= 1;
+        Some(record)
     }
 }
 

@@ -44,7 +44,6 @@ use crate::spill::{sealed::Sealed, SpillValue};
 use crate::spillio::SpillIoHandle;
 use dtsort::{IntegerKey, StreamConfig};
 use semisort::{semisort_pairs_with, SemisortConfig};
-use std::io;
 use std::marker::PhantomData;
 
 /// A streaming aggregation: how one value becomes a partial aggregate, and
@@ -353,6 +352,17 @@ impl<K: IntegerKey, G: Aggregator> RunReducer for AggregateRuns<K, G> {
         }
         out
     }
+
+    type Stream = GroupedStream<K, G>;
+
+    fn into_stream(self, merge: RunMerge<G::Acc>) -> GroupedStream<K, G> {
+        GroupedStream {
+            merge,
+            agg: self.agg,
+            pending: None,
+            _key: PhantomData,
+        }
+    }
 }
 
 impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
@@ -374,27 +384,6 @@ impl<K: IntegerKey, G: Aggregator> StreamGroupBy<K, G> {
             _key: PhantomData,
         };
         Self::with_reducer(reducer, cfg, io)
-    }
-
-    /// Finishes the group-by: merges all per-run partials, combining equal
-    /// keys, into a stream of `(key, aggregate)` pairs in increasing key
-    /// order (one pair per distinct key of the whole stream).
-    ///
-    /// A writer-side spill error that has not surfaced on a `push` yet
-    /// surfaces here.
-    pub fn finish(self) -> io::Result<GroupedStream<K, G>> {
-        let (merge, reducer) = self.into_merge()?;
-        Ok(GroupedStream {
-            merge,
-            agg: reducer.agg,
-            pending: None,
-            _key: PhantomData,
-        })
-    }
-
-    /// [`StreamGroupBy::finish`], materialized into a vector.
-    pub fn finish_vec(self) -> io::Result<Vec<(K, G::Acc)>> {
-        Ok(self.finish()?.collect())
     }
 }
 
@@ -452,6 +441,7 @@ mod tests {
     use super::*;
     use parlay::random::Rng;
     use std::collections::HashMap;
+    use std::io;
 
     fn tiny_cfg(budget: usize) -> StreamConfig {
         StreamConfig {

@@ -143,14 +143,21 @@
 //!
 //! ## String keys
 //!
-//! Byte-string *keys* (not just values) are supported end to end by
+//! Byte-string *keys* (not just values) are supported end to end by one
+//! adapter, [`StringKeys`], over either engine — used as
 //! [`StringStreamSorter`] and [`StringStreamGroupBy`]: a key's 8-byte
 //! big-endian prefix rides the ordered-`u64` merge domain
 //! ([`dtsort::string_key_prefix64`] is monotone in lexicographic order)
-//! and the full key bytes travel in the spilled record, tie-breaking
-//! equal prefixes at sort, merge, and group time.  The output order is
-//! exactly lexicographic over the key bytes and the sort stays stable.
-//! See the `strkey` module docs for the collision analysis.
+//! and the full key bytes travel in the spilled record ([`StringKeyed`]),
+//! tie-breaking equal prefixes at sort, merge, and group time.  The
+//! output order is exactly lexicographic over the key bytes and the sort
+//! stays stable.  See the `strkey` module docs for the collision
+//! analysis.
+//!
+//! The sorter, the group-by and the adapter all implement the sealed
+//! [`Engine`] trait (push, stats, flush, shrink, finish), so a caller
+//! such as the server's generic session is written once for all of
+//! them.
 //!
 //! ## Compressed spill runs
 //!
@@ -191,7 +198,7 @@ mod strkey;
 pub use dtsort::{
     SortConfig, SpillCompression, SpillIoMode, SpillRetryPolicy, StreamConfig, StringKey,
 };
-pub use engine::{RunEngine, RunReducer, StreamStats};
+pub use engine::{Engine, RunEngine, RunReducer, StreamStats};
 pub use fault::{FaultKind, FaultPlan, DEFAULT_FAULT_KINDS, DEFAULT_FAULT_PERIOD};
 pub use groupby::{
     AggregateRuns, Aggregator, ConcatAgg, CountAgg, FirstAgg, FoldAgg, GroupedStream, MaxAgg,
@@ -201,6 +208,6 @@ pub use sorter::{SortRuns, SortedStream, StreamSorter};
 pub use spill::{PodValue, SpillError, SpillValue, VarValue};
 pub use spillio::SpillIoHandle;
 pub use strkey::{
-    StringAggAdapter, StringGroupedStream, StringKeyed, StringSortedStream, StringStreamGroupBy,
+    StringAggAdapter, StringKeyed, StringKeys, StringStream, StringStreamGroupBy,
     StringStreamSorter,
 };

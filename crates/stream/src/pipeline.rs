@@ -326,13 +326,8 @@ fn writer_loop<K: IntegerKey, V: SpillValue>(
             }
             Err(panic) => {
                 std::fs::remove_file(&path).ok();
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
                 if st.error.is_none() {
-                    st.error = Some(io::Error::other(format!("spill writer panicked: {msg}")));
+                    st.error = Some(panic_error("spill writer", &*panic));
                 }
                 st.broken = true;
                 st.failed.push(buf);
@@ -344,6 +339,16 @@ fn writer_loop<K: IntegerKey, V: SpillValue>(
         }
         shared.idle.notify_all();
     }
+}
+
+/// Converts a caught panic into the I/O error a pipeline stage forwards.
+fn panic_error(stage: &str, panic: &(dyn std::any::Any + Send)) -> io::Error {
+    let msg = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    io::Error::other(format!("{stage} panicked: {msg}"))
 }
 
 /// Decodes the next batch of records (roughly `block_bytes` of decoded
@@ -387,7 +392,9 @@ fn decode_one_block<V: SpillValue>(
 /// consumed).
 ///
 /// The producer stops when the run is exhausted, on the first read error
-/// (which it forwards), or when the consumer hangs up.
+/// (which it forwards), or when the consumer hangs up.  A panic in a value
+/// decoder is caught and forwarded as an error too: a dead producer must
+/// never read as a clean end of run.
 pub(crate) struct RunPrefetcher<V: SpillValue> {
     rx: Receiver<io::Result<Vec<(u64, V)>>>,
 }
@@ -423,7 +430,11 @@ impl<V: SpillValue> RunPrefetcher<V> {
                 // actually running ahead.
                 let _run_span = obs::span!("prefetch", run = index);
                 loop {
-                    match decode_one_block(&mut reader, block_bytes) {
+                    let decoded = catch_unwind(AssertUnwindSafe(|| {
+                        decode_one_block(&mut reader, block_bytes)
+                    }))
+                    .unwrap_or_else(|panic| Err(panic_error("prefetch decoder", &*panic)));
+                    match decoded {
                         Ok((block, end_of_run)) => {
                             if !block.is_empty() && tx.send(Ok(block)).is_err() {
                                 return; // consumer hung up (stream dropped early)
@@ -575,6 +586,77 @@ mod tests {
             assert!(blocks > 5, "expected several blocks, got {blocks}");
             assert_eq!(got, records);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `u64` payload whose decoder panics on [`Tripwire::TRIP`].
+    #[derive(Clone)]
+    struct Tripwire(u64);
+
+    impl Tripwire {
+        const TRIP: u64 = u64::MAX;
+    }
+
+    impl crate::spill::sealed::Sealed for Tripwire {}
+
+    impl SpillValue for Tripwire {
+        const SPILL_FIXED_SIZE: Option<usize> = u64::SPILL_FIXED_SIZE;
+        fn spill_size(&self) -> usize {
+            self.0.spill_size()
+        }
+        fn spill_write(&self, w: &mut dyn std::io::Write) -> io::Result<()> {
+            self.0.spill_write(w)
+        }
+        fn spill_read(
+            r: &mut dyn std::io::Read,
+            scratch: &mut Vec<u8>,
+            payload_budget: u64,
+        ) -> io::Result<Self> {
+            let v = u64::spill_read(r, scratch, payload_budget)?;
+            assert_ne!(v, Self::TRIP, "injected decoder panic");
+            Ok(Self(v))
+        }
+        fn spill_placeholder() -> Self {
+            Self(0)
+        }
+    }
+
+    #[test]
+    fn prefetcher_forwards_decoder_panics_as_errors() {
+        let dir = tmp_dir("prefetch-panic");
+        let path = dir.join("run.bin");
+        // Record 6000 trips the decoder, many blocks past the first one.
+        let records: Vec<(u64, Tripwire)> = (0..10_000u64)
+            .map(|i| (i, Tripwire(if i == 6000 { Tripwire::TRIP } else { i })))
+            .collect();
+        let run = write_run(&bio(), &path, &records, SpillCompression::Off).unwrap();
+        let mut src = RunPrefetcher::<Tripwire>::spawn(&bio(), &run, 8 << 10, 0).unwrap();
+        let mut decoded = 0usize;
+        let err = loop {
+            match src.recv() {
+                Some(Ok(block)) => decoded += block.len(),
+                Some(Err(e)) => break e,
+                None => panic!("decoder panic read as a clean end of run after {decoded} records"),
+            }
+        };
+        assert!(
+            err.to_string().contains("prefetch decoder panicked"),
+            "{err}"
+        );
+        assert!(decoded < 6000, "{decoded} records decoded past the panic");
+
+        // A streaming merge over the run must panic, not come up short.
+        let src = RunPrefetcher::<Tripwire>::spawn(&bio(), &run, 8 << 10, 0).unwrap();
+        let cursor = crate::engine::RunCursor::from_prefetch(src).unwrap();
+        let mut tree = parlay::kway::LoserTree::new(vec![cursor], Tripwire::spill_record_lt);
+        let drained = catch_unwind(AssertUnwindSafe(|| {
+            std::iter::from_fn(|| tree.pop()).count()
+        }));
+        assert!(
+            drained.is_err(),
+            "merge returned {:?} of 10000 records instead of panicking",
+            drained.ok()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

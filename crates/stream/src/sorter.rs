@@ -93,6 +93,21 @@ impl<K: IntegerKey, V: SpillValue> RunReducer for SortRuns<K, V> {
         stats.carried_heavy_keys = self.carry.len();
         std::mem::replace(buffer, out)
     }
+
+    type Stream = SortedStream<K, V>;
+
+    fn into_stream(self, merge: RunMerge<V>) -> SortedStream<K, V> {
+        SortedStream {
+            merge,
+            _key: PhantomData,
+        }
+    }
+
+    fn finish_vec(sorter: StreamSorter<K, V>) -> io::Result<Vec<(K, V)>> {
+        let mut out = vec![(K::from_ordered_u64(0), V::spill_placeholder()); sorter.len()];
+        sorter.finish_into(&mut out)?;
+        Ok(out)
+    }
 }
 
 impl<K: IntegerKey, V: SpillValue> Default for StreamSorter<K, V> {
@@ -139,29 +154,6 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
     /// Heavy keys (ordered-`u64` domain) carried into the next run.
     pub fn carried_heavy_keys(&self) -> &[u64] {
         &self.reducer.carry
-    }
-
-    /// Finishes the sort, returning a streaming sorted iterator.
-    ///
-    /// The iterator holds one read buffer per spilled run (bounded by
-    /// [`StreamConfig::merge_read_buffer_bytes`]) plus the final in-memory
-    /// run, so its footprint stays within the configured budget no matter
-    /// how large the dataset grew.  Unless
-    /// [`StreamConfig::synchronous_spill`] is set, each spilled run is
-    /// decoded ahead of the merge ([`StreamConfig::merge_read_ahead`]), so
-    /// the loser tree pops from prefetched blocks instead of blocking on
-    /// cold reads.  Past a fan-in of 64 runs, or once the per-run buffer
-    /// share drops below 4 KiB, read-ahead falls back to
-    /// synchronous reads — [`SortedStream::read_ahead_disabled`] and
-    /// [`SortedStream::prefetch_capped`] report when that happened.
-    pub fn finish(self) -> io::Result<SortedStream<K, V>> {
-        let remaining = self.len();
-        let (merge, _) = self.into_merge()?;
-        Ok(SortedStream {
-            merge,
-            remaining,
-            _key: PhantomData,
-        })
     }
 
     /// Finishes the sort by merging every run, in parallel, into `out`.
@@ -223,14 +215,6 @@ impl<K: IntegerKey, V: SpillValue> StreamSorter<K, V> {
         loaded.extend(self.pending_runs.drain(..));
         V::merge_spill_runs_into(loaded, tail, out);
         Ok(())
-    }
-
-    /// [`StreamSorter::finish_into`] allocating the output vector.
-    pub fn finish_vec(self) -> io::Result<Vec<(K, V)>> {
-        let total = self.len();
-        let mut out = vec![(K::from_ordered_u64(0), V::spill_placeholder()); total];
-        self.finish_into(&mut out)?;
-        Ok(out)
     }
 }
 
@@ -323,7 +307,6 @@ pub(crate) fn var_merge_runs_into<K: IntegerKey, V: SpillValue>(
 /// panics (the spill files live in a directory this process just wrote).
 pub struct SortedStream<K: IntegerKey, V: SpillValue> {
     merge: RunMerge<V>,
-    remaining: usize,
     _key: PhantomData<K>,
 }
 
@@ -355,12 +338,11 @@ impl<K: IntegerKey, V: SpillValue> Iterator for SortedStream<K, V> {
 
     fn next(&mut self) -> Option<(K, V)> {
         let (key, value) = self.merge.pop()?;
-        self.remaining -= 1;
         Some((K::from_ordered_u64(key), value))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        (self.merge.remaining, Some(self.merge.remaining))
     }
 }
 

@@ -393,7 +393,7 @@ fn value_from_bytes<V: PodValue>(bytes: &[u8]) -> V {
     unsafe { std::ptr::read_unaligned(bytes.as_ptr().cast::<V>()) }
 }
 
-fn short_run_err(what: &str) -> io::Error {
+pub(crate) fn short_run_err(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, what.to_string())
 }
 

@@ -19,10 +19,15 @@
 //!   embedded key bytes before folding, and the merge refuses to combine
 //!   partials whose full keys differ.
 //!
-//! The result: [`StringStreamSorter`] and [`StringStreamGroupBy`] accept
+//! All of that lives in the spill value and the engines' reducers, so
+//! the key mapping itself is one generic adapter, [`StringKeys`], over
+//! any integer-keyed engine: it pushes `(key, value)` as
+//! `(string_key_prefix64(key), StringKeyed { key, value })` and maps each
+//! output record back.  [`StringStreamSorter`] and [`StringStreamGroupBy`]
+//! are that adapter over the sorter and the group-by; they accept
 //! `String` / `Vec<u8>` keys end to end, spilling and merging through the
 //! exact same run formats, pipeline, and read-ahead as the integer-keyed
-//! engines.
+//! engines, and serve as server sessions like any other [`Engine`].
 //!
 //! ```
 //! use stream::StringStreamSorter;
@@ -36,10 +41,11 @@
 //! assert_eq!(sorted[2].0, "banana");
 //! ```
 
-use crate::engine::StreamStats;
-use crate::groupby::{Aggregator, GroupedStream, StreamGroupBy};
-use crate::sorter::{var_sort_run, SortedStream, StreamSorter};
-use crate::spill::{sealed::Sealed, SpillValue};
+use crate::engine::{Engine, StreamStats};
+use crate::groupby::{Aggregator, StreamGroupBy};
+use crate::sorter::{var_sort_run, StreamSorter};
+use crate::spill::{sealed::Sealed, short_run_err, SpillValue};
+use crate::spillio::SpillIoHandle;
 use dtsort::{string_key_prefix64, IntegerKey, RunReport, SortConfig, StreamConfig, StringKey};
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
@@ -60,35 +66,6 @@ use std::marker::PhantomData;
 pub struct StringKeyed<V> {
     key: Box<[u8]>,
     value: V,
-}
-
-impl<V: SpillValue> StringKeyed<V> {
-    /// Pairs a key's bytes with a value.
-    pub fn new<K: StringKey>(key: &K, value: V) -> Self {
-        Self {
-            key: key.key_bytes().to_vec().into_boxed_slice(),
-            value,
-        }
-    }
-
-    /// The full key bytes this record carries.
-    pub fn key_bytes(&self) -> &[u8] {
-        &self.key
-    }
-
-    /// The wrapped value.
-    pub fn value(&self) -> &V {
-        &self.value
-    }
-
-    /// Unwraps into the value, dropping the key bytes.
-    pub fn into_value(self) -> V {
-        self.value
-    }
-}
-
-fn short_record(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::UnexpectedEof, what.to_string())
 }
 
 impl<V: SpillValue> Sealed for StringKeyed<V> {}
@@ -121,13 +98,13 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
         payload_budget: u64,
     ) -> io::Result<Self> {
         if payload_budget < 4 {
-            return Err(short_record("spilled run ended mid-key-length"));
+            return Err(short_run_err("spilled run ended mid-key-length"));
         }
         let mut len_bytes = [0u8; 4];
         r.read_exact(&mut len_bytes)?;
         let key_len = u64::from(u32::from_le_bytes(len_bytes));
         if key_len > payload_budget - 4 {
-            return Err(short_record(
+            return Err(short_run_err(
                 "string key length prefix exceeds the bytes remaining in the spilled run",
             ));
         }
@@ -182,163 +159,6 @@ impl<V: SpillValue> SpillValue for StringKeyed<V> {
     }
 }
 
-/// Rebuilds a typed key from spilled bytes; the bytes were produced from
-/// a valid key by this process, so failure means file corruption — the
-/// same environment fault a mid-merge read error is, reported the same
-/// way (panic; see [`crate::SortedStream`]).
-fn rebuild_key<K: StringKey>(bytes: &[u8]) -> K {
-    K::from_key_bytes(bytes)
-        .unwrap_or_else(|e| panic!("corrupt string key read back from spilled run: {e}"))
-}
-
-/// A bounded-memory streaming sorter over **string-keyed** records:
-/// [`crate::StreamSorter`]'s push/finish API with `String` / `Vec<u8>`
-/// keys (any [`dtsort::StringKey`]), sorted in lexicographic byte order.
-///
-/// Internally each record's ordering key is its 8-byte prefix
-/// ([`dtsort::string_key_prefix64`]) and the full key travels in the
-/// spilled payload; see the module docs for why the result is exactly
-/// lexicographic and stable.  All [`StreamConfig`] knobs (budget, spill
-/// compression, pipelining, read-ahead) apply unchanged.
-pub struct StringStreamSorter<K: StringKey, V: SpillValue = ()> {
-    inner: StreamSorter<u64, StringKeyed<V>>,
-    _key: PhantomData<fn() -> K>,
-}
-
-impl<K: StringKey, V: SpillValue> Default for StringStreamSorter<K, V> {
-    fn default() -> Self {
-        Self::with_config(StreamConfig::default())
-    }
-}
-
-impl<K: StringKey, V: SpillValue> StringStreamSorter<K, V> {
-    /// Sorter with the default [`StreamConfig`] (256 MiB budget).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn with_config(cfg: StreamConfig) -> Self {
-        Self {
-            inner: StreamSorter::with_config(cfg),
-            _key: PhantomData,
-        }
-    }
-
-    /// Like [`StringStreamSorter::with_config`] but spilling through the
-    /// caller's (possibly shared) I/O backend; see
-    /// [`crate::StreamSorter::with_config_and_io`].
-    pub fn with_config_and_io(cfg: StreamConfig, io: crate::spillio::SpillIoHandle) -> Self {
-        Self {
-            inner: StreamSorter::with_config_and_io(cfg, io),
-            _key: PhantomData,
-        }
-    }
-
-    /// Appends one record, spilling a full run if due.
-    pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
-        let prefix = string_key_prefix64(key.key_bytes());
-        self.inner
-            .push_record(prefix, StringKeyed::new(&key, value))
-    }
-
-    /// Appends a batch of records (cloning each; use
-    /// [`StringStreamSorter::push_record`] to move values in).
-    ///
-    /// Like [`crate::StreamSorter::push`], a spill error does not drop
-    /// the rest of the slice: every record is buffered before its spill
-    /// attempt, and the first error is reported once the whole slice is
-    /// owned by the sorter.
-    pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
-        let mut first_err = None;
-        for (k, v) in records {
-            if let Err(e) = self.push_record(k.clone(), v.clone()) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Total records accepted so far.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Counters (spills, carried heavy prefixes, ...).
-    pub fn stats(&self) -> &StreamStats {
-        self.inner.stats()
-    }
-
-    /// See [`crate::StreamSorter::flush_spills`].
-    pub fn flush_spills(&mut self) -> io::Result<()> {
-        self.inner.flush_spills()
-    }
-
-    /// See [`crate::StreamSorter::shrink_to_budget`].
-    pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.inner.shrink_to_budget()
-    }
-
-    /// Finishes the sort, streaming `(key, value)` pairs in lexicographic
-    /// key order (stable in push order for equal keys).
-    pub fn finish(self) -> io::Result<StringSortedStream<K, V>> {
-        Ok(StringSortedStream {
-            inner: self.inner.finish()?,
-            _key: PhantomData,
-        })
-    }
-
-    /// Finishes via the materializing parallel merge
-    /// ([`crate::StreamSorter::finish_vec`]).
-    pub fn finish_vec(self) -> io::Result<Vec<(K, V)>> {
-        Ok(self
-            .inner
-            .finish_vec()?
-            .into_iter()
-            .map(|(_, rec)| (rebuild_key(&rec.key), rec.value))
-            .collect())
-    }
-}
-
-/// Streaming sorted output of a [`StringStreamSorter`].
-pub struct StringSortedStream<K: StringKey, V: SpillValue> {
-    inner: SortedStream<u64, StringKeyed<V>>,
-    _key: PhantomData<fn() -> K>,
-}
-
-impl<K: StringKey, V: SpillValue> StringSortedStream<K, V> {
-    /// See [`crate::SortedStream::read_ahead_disabled`].
-    pub fn read_ahead_disabled(&self) -> bool {
-        self.inner.read_ahead_disabled()
-    }
-
-    /// See [`crate::SortedStream::prefetch_capped`].
-    pub fn prefetch_capped(&self) -> bool {
-        self.inner.prefetch_capped()
-    }
-}
-
-impl<K: StringKey, V: SpillValue> Iterator for StringSortedStream<K, V> {
-    type Item = (K, V);
-
-    fn next(&mut self) -> Option<(K, V)> {
-        let (_, rec) = self.inner.next()?;
-        Some((rebuild_key(&rec.key), rec.value))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl<K: StringKey, V: SpillValue> ExactSizeIterator for StringSortedStream<K, V> {}
-
 /// Lifts a plain [`Aggregator`] over values into one over
 /// [`StringKeyed`] records: the key bytes ride along unchanged while the
 /// wrapped aggregator folds the values.  `combine` is only ever called on
@@ -366,16 +186,58 @@ impl<G: Aggregator> Aggregator for StringAggAdapter<G> {
     }
 }
 
-/// Bounded-memory streaming group-by over **string-keyed** records:
-/// [`crate::StreamGroupBy`] with `String` / `Vec<u8>` keys, producing one
-/// `(key, aggregate)` pair per distinct key in lexicographic key order.
+/// The string-key adapter over a streaming engine: [`crate::StreamSorter`]
+/// or [`crate::StreamGroupBy`]'s push/finish API with `String` / `Vec<u8>`
+/// keys (any [`dtsort::StringKey`]), in lexicographic byte order.
 ///
-/// Prefix-colliding keys (first 8 bytes equal) are kept apart by the full
-/// key bytes embedded in every partial, both when a run is aggregated and
-/// when per-run partials combine at merge time.
-pub struct StringStreamGroupBy<K: StringKey, G: Aggregator> {
-    inner: StreamGroupBy<u64, StringAggAdapter<G>>,
+/// Each pushed `(key, value)` goes to the wrapped engine as
+/// `(string_key_prefix64(key), StringKeyed { key, value })`, and each
+/// output record comes back as `(key, value)`; see the module docs for
+/// why the result is exactly lexicographic and stable.  All
+/// [`StreamConfig`] knobs (budget, spill compression, pipelining,
+/// read-ahead) apply unchanged.  Used as [`StringStreamSorter`] and
+/// [`StringStreamGroupBy`].
+pub struct StringKeys<E, K> {
+    inner: E,
     _key: PhantomData<fn() -> K>,
+}
+
+/// A bounded-memory streaming sorter over **string-keyed** records,
+/// sorted in lexicographic byte order (stable in push order for equal
+/// keys); see [`StringKeys`].
+pub type StringStreamSorter<K, V = ()> = StringKeys<StreamSorter<u64, StringKeyed<V>>, K>;
+
+/// Bounded-memory streaming group-by over **string-keyed** records: one
+/// `(key, aggregate)` pair per distinct key in lexicographic key order;
+/// see [`StringKeys`].  Prefix-colliding keys (first 8 bytes equal) are
+/// kept apart by the full key bytes embedded in every partial, both when
+/// a run is aggregated and when per-run partials combine at merge time.
+pub type StringStreamGroupBy<K, G> = StringKeys<StreamGroupBy<u64, StringAggAdapter<G>>, K>;
+
+impl<K: StringKey, V: SpillValue> Default for StringStreamSorter<K, V> {
+    fn default() -> Self {
+        Self::with_config(StreamConfig::default())
+    }
+}
+
+impl<K: StringKey, V: SpillValue> StringStreamSorter<K, V> {
+    /// Sorter with the default [`StreamConfig`] (256 MiB budget).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn with_config(cfg: StreamConfig) -> Self {
+        Self::with_config_and_io(cfg, SpillIoHandle::blocking())
+    }
+
+    /// Like [`StringStreamSorter::with_config`] but spilling through the
+    /// caller's (possibly shared) I/O handle.
+    pub fn with_config_and_io(cfg: StreamConfig, io: SpillIoHandle) -> Self {
+        StringKeys {
+            inner: StreamSorter::with_config_and_io(cfg, io),
+            _key: PhantomData,
+        }
+    }
 }
 
 impl<K: StringKey, G: Aggregator> StringStreamGroupBy<K, G> {
@@ -385,88 +247,146 @@ impl<K: StringKey, G: Aggregator> StringStreamGroupBy<K, G> {
     }
 
     pub fn with_config(agg: G, cfg: StreamConfig) -> Self {
-        Self {
-            inner: StreamGroupBy::with_config(StringAggAdapter(agg), cfg),
-            _key: PhantomData,
-        }
+        Self::with_config_and_io(agg, cfg, SpillIoHandle::blocking())
     }
 
     /// Like [`StringStreamGroupBy::with_config`] but spilling through the
-    /// caller's (possibly shared) I/O backend; see
-    /// [`crate::StreamGroupBy::with_config_and_io`].
-    pub fn with_config_and_io(
-        agg: G,
-        cfg: StreamConfig,
-        io: crate::spillio::SpillIoHandle,
-    ) -> Self {
-        Self {
+    /// caller's (possibly shared) I/O handle.
+    pub fn with_config_and_io(agg: G, cfg: StreamConfig, io: SpillIoHandle) -> Self {
+        StringKeys {
             inner: StreamGroupBy::with_config_and_io(StringAggAdapter(agg), cfg, io),
             _key: PhantomData,
         }
     }
+}
 
-    /// Appends one record, aggregating and spilling a full run if due.
-    pub fn push_record(&mut self, key: K, value: G::Input) -> io::Result<()> {
-        let prefix = string_key_prefix64(key.key_bytes());
-        self.inner
-            .push_record(prefix, StringKeyed::new(&key, value))
+impl<E, K, V, O> StringKeys<E, K>
+where
+    E: Engine<Key = u64, Value = StringKeyed<V>>,
+    E::Stream: Iterator<Item = (u64, StringKeyed<O>)>,
+    K: StringKey,
+    V: SpillValue,
+{
+    /// Appends one record, spilling a full run if due.
+    pub fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
+        let bytes = key.key_bytes();
+        let record = StringKeyed {
+            key: bytes.into(),
+            value,
+        };
+        self.inner.push_record(string_key_prefix64(bytes), record)
     }
 
-    /// Counters (spills, collapse ratio, ...).
+    /// Appends a batch of records (cloning each; use
+    /// [`StringKeys::push_record`] to move values in).
+    ///
+    /// Like [`crate::RunEngine::push`], a spill error does not drop the
+    /// rest of the slice: every record is buffered before its spill
+    /// attempt, and the first error is reported once the whole slice is
+    /// owned by the engine.
+    pub fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
+        let mut res = Ok(());
+        for (k, v) in records {
+            let pushed = self.push_record(k.clone(), v.clone());
+            res = res.and(pushed);
+        }
+        res
+    }
+
+    /// Counters (spills, carried heavy prefixes, collapse ratio, ...).
     pub fn stats(&self) -> &StreamStats {
         self.inner.stats()
     }
 
-    /// See [`crate::StreamGroupBy::flush_spills`].
-    pub fn flush_spills(&mut self) -> io::Result<()> {
-        self.inner.flush_spills()
-    }
-
-    /// See [`crate::StreamGroupBy::shrink_to_budget`].
-    pub fn shrink_to_budget(&mut self) -> io::Result<()> {
-        self.inner.shrink_to_budget()
-    }
-
-    /// Finishes the group-by: `(key, aggregate)` pairs in lexicographic
-    /// key order, one per distinct key.
-    pub fn finish(self) -> io::Result<StringGroupedStream<K, G>> {
-        Ok(StringGroupedStream {
+    /// Finishes, streaming `(key, value)` pairs in lexicographic key order.
+    pub fn finish(self) -> io::Result<StringStream<E::Stream, K>> {
+        Ok(StringStream {
             inner: self.inner.finish()?,
             _key: PhantomData,
         })
     }
 
-    /// [`StringStreamGroupBy::finish`], materialized into a vector.
-    pub fn finish_vec(self) -> io::Result<Vec<(K, G::Acc)>> {
-        Ok(self.finish()?.collect())
+    /// Finishes into a vector (the sorter uses its parallel merge,
+    /// [`crate::RunEngine::finish_vec`]).
+    pub fn finish_vec(self) -> io::Result<Vec<(K, O)>> {
+        Ok(self.inner.finish_vec()?.into_iter().map(unkey).collect())
     }
 }
 
-/// Streaming output of a [`StringStreamGroupBy`].
-pub struct StringGroupedStream<K: StringKey, G: Aggregator> {
-    inner: GroupedStream<u64, StringAggAdapter<G>>,
+impl<E, K> Sealed for StringKeys<E, K> {}
+
+impl<E, K, V, O> Engine for StringKeys<E, K>
+where
+    E: Engine<Key = u64, Value = StringKeyed<V>>,
+    E::Stream: Iterator<Item = (u64, StringKeyed<O>)>,
+    K: StringKey,
+    V: SpillValue,
+{
+    type Key = K;
+    type Value = V;
+    type Stream = StringStream<E::Stream, K>;
+
+    fn push(&mut self, records: &[(K, V)]) -> io::Result<()> {
+        StringKeys::push(self, records)
+    }
+    fn push_record(&mut self, key: K, value: V) -> io::Result<()> {
+        StringKeys::push_record(self, key, value)
+    }
+    fn stats(&self) -> &StreamStats {
+        StringKeys::stats(self)
+    }
+    fn flush_spills(&mut self) -> io::Result<()> {
+        self.inner.flush_spills()
+    }
+    fn shrink_to_budget(&mut self) -> io::Result<()> {
+        self.inner.shrink_to_budget()
+    }
+    fn finish(self) -> io::Result<Self::Stream> {
+        StringKeys::finish(self)
+    }
+    fn finish_vec(self) -> io::Result<Vec<(K, O)>> {
+        StringKeys::finish_vec(self)
+    }
+}
+
+/// Output of a [`StringKeys`] engine: the wrapped engine's stream with
+/// each record's full key rebuilt from its embedded bytes.
+pub struct StringStream<S, K> {
+    inner: S,
     _key: PhantomData<fn() -> K>,
 }
 
-impl<K: StringKey, G: Aggregator> StringGroupedStream<K, G> {
-    /// See [`crate::SortedStream::read_ahead_disabled`].
-    pub fn read_ahead_disabled(&self) -> bool {
-        self.inner.read_ahead_disabled()
+impl<S, K, O> Iterator for StringStream<S, K>
+where
+    S: Iterator<Item = (u64, StringKeyed<O>)>,
+    K: StringKey,
+{
+    type Item = (K, O);
+
+    fn next(&mut self) -> Option<(K, O)> {
+        self.inner.next().map(unkey)
     }
 
-    /// See [`crate::SortedStream::prefetch_capped`].
-    pub fn prefetch_capped(&self) -> bool {
-        self.inner.prefetch_capped()
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.inner.size_hint()
     }
 }
 
-impl<K: StringKey, G: Aggregator> Iterator for StringGroupedStream<K, G> {
-    type Item = (K, G::Acc);
+impl<S, K, O> ExactSizeIterator for StringStream<S, K>
+where
+    S: ExactSizeIterator<Item = (u64, StringKeyed<O>)>,
+    K: StringKey,
+{
+}
 
-    fn next(&mut self) -> Option<(K, G::Acc)> {
-        let (_, rec) = self.inner.next()?;
-        Some((rebuild_key(&rec.key), rec.value))
-    }
+/// Rebuilds a typed `(key, value)` record from its spilled form; the key
+/// bytes were produced from a valid key by this process, so failure means
+/// file corruption — the same environment fault a mid-merge read error
+/// is, reported the same way (panic; see [`crate::SortedStream`]).
+fn unkey<K: StringKey, O>((_, rec): (u64, StringKeyed<O>)) -> (K, O) {
+    let key = K::from_key_bytes(&rec.key)
+        .unwrap_or_else(|e| panic!("corrupt string key read back from spilled run: {e}"));
+    (key, rec.value)
 }
 
 #[cfg(test)]

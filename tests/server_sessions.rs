@@ -10,7 +10,7 @@
 //! this suite pushes the same inputs through (a) plain solo sorters with a
 //! fixed budget and (b) a crowded server with reclaim-inducing admissions,
 //! and asserts the outputs are identical, across the sync/pipelined spill
-//! paths and both spill codecs.
+//! paths and both spill codecs, for integer- and string-keyed sessions.
 //!
 //! Thread counts: CI re-runs this suite under `RAYON_NUM_THREADS ∈ {1, 4}`
 //! (the thread-matrix job), which covers schedule-dependence of the shared
@@ -18,9 +18,13 @@
 
 use dtsort::{SortConfig, StreamConfig};
 use server::{
-    AdmissionPolicy, GovernorConfig, ServerConfig, SessionError, SortServer, SpillManagerConfig,
+    AdmissionPolicy, GovernorConfig, ServerConfig, Session, SessionError, SortServer,
+    SpillManagerConfig,
 };
-use stream::{FaultKind, FaultPlan, SpillCompression, StreamSorter, SumAgg};
+use stream::{
+    Engine, FaultKind, FaultPlan, SpillCompression, StreamGroupBy, StreamSorter,
+    StringStreamSorter, SumAgg,
+};
 use workloads::dist::{generate_pairs_u32, paper_instances};
 
 /// Sessions per scenario — enough that admissions force several reclaims.
@@ -52,6 +56,21 @@ fn session_inputs() -> Vec<Vec<(u32, u32)>> {
         .collect()
 }
 
+/// The string-keyed counterpart of [`session_inputs`]: 4096 distinct
+/// 8-byte prefixes, each shared by many full keys, so the prefix
+/// tie-break is exercised in every run and merge.
+fn string_session_inputs(inputs: &[Vec<(u32, u32)>]) -> Vec<Vec<(String, u32)>> {
+    inputs
+        .iter()
+        .map(|input| {
+            input
+                .iter()
+                .map(|&(k, v)| (format!("{:03x}/item-{k}", k % 4096), v))
+                .collect()
+        })
+        .collect()
+}
+
 /// A small base config that spills aggressively at test sizes.
 fn base_config(synchronous: bool, codec: SpillCompression) -> StreamConfig {
     StreamConfig {
@@ -65,19 +84,23 @@ fn base_config(synchronous: bool, codec: SpillCompression) -> StreamConfig {
     }
 }
 
+/// Records a finished engine of type `E` yields.
+type Output<E> = Vec<<<E as Engine>::Stream as Iterator>::Item>;
+
 /// Solo reference: one engine per input, fixed private budget, default
 /// (per-engine) spill directory.
-fn solo_outputs(
-    inputs: &[Vec<(u32, u32)>],
+fn solo_outputs<E: Engine>(
+    inputs: &[Vec<(E::Key, E::Value)>],
     synchronous: bool,
     codec: SpillCompression,
-) -> Vec<Vec<(u32, u32)>> {
+    build: impl Fn(StreamConfig) -> E,
+) -> Vec<Output<E>> {
     inputs
         .iter()
         .map(|input| {
             let mut cfg = base_config(synchronous, codec);
             cfg.memory_budget_bytes = 32 << 10;
-            let mut sorter: StreamSorter<u32, u32> = StreamSorter::with_config(cfg);
+            let mut sorter = build(cfg);
             for chunk in input.chunks(CHUNK) {
                 sorter.push(chunk).unwrap();
             }
@@ -88,11 +111,12 @@ fn solo_outputs(
 
 /// Shared-server run: all sessions admitted up front (each admission
 /// reclaims budget from the live ones), pushes interleaved round-robin.
-fn server_outputs(
-    inputs: &[Vec<(u32, u32)>],
+fn server_outputs<E: Engine>(
+    inputs: &[Vec<(E::Key, E::Value)>],
     synchronous: bool,
     codec: SpillCompression,
-) -> Vec<Vec<(u32, u32)>> {
+    open: impl Fn(&SortServer, &str) -> std::io::Result<Session<E>>,
+) -> Vec<Output<E>> {
     let server = SortServer::new(ServerConfig {
         governor: GovernorConfig {
             // Tight ceiling: sessions are granted far less than requested
@@ -107,11 +131,7 @@ fn server_outputs(
     .unwrap();
 
     let mut sessions: Vec<_> = (0..inputs.len())
-        .map(|s| {
-            server
-                .open_sort::<u32, u32>(&format!("tenant-{s}"), 64 << 10)
-                .unwrap()
-        })
+        .map(|s| open(&server, &format!("tenant-{s}")).unwrap())
         .collect();
     assert!(
         server.governor().reclaims() > 0,
@@ -134,7 +154,7 @@ fn server_outputs(
         }
     }
 
-    let outputs: Vec<Vec<(u32, u32)>> = sessions
+    let outputs: Vec<Output<E>> = sessions
         .into_iter()
         .map(|s| s.finish().unwrap().collect())
         .collect();
@@ -146,20 +166,38 @@ fn server_outputs(
 #[test]
 fn interleaved_sessions_match_solo_runs_across_spill_modes() {
     let inputs = session_inputs();
+    let string_inputs = string_session_inputs(&inputs);
     for (mode, synchronous, codec) in spill_modes() {
-        let want = solo_outputs(&inputs, synchronous, codec);
-        let got = server_outputs(&inputs, synchronous, codec);
+        let want = solo_outputs(&inputs, synchronous, codec, StreamSorter::with_config);
+        let got = server_outputs(&inputs, synchronous, codec, |server, tenant| {
+            server.open_sort::<u32, u32>(tenant, 64 << 10)
+        });
         for (s, (got_s, want_s)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
                 got_s, want_s,
                 "session {s} output differs from its solo run [{mode}]"
             );
         }
+        let want = solo_outputs(
+            &string_inputs,
+            synchronous,
+            codec,
+            StringStreamSorter::with_config,
+        );
+        let got = server_outputs(&string_inputs, synchronous, codec, |server, tenant| {
+            server.open_string_sort::<String, u32>(tenant, 64 << 10)
+        });
+        for (s, (got_s, want_s)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got_s, want_s,
+                "string session {s} output differs from its solo run [{mode}]"
+            );
+        }
     }
 }
 
 /// The same differential claim for the group-by engine: interleaved
-/// [`server::GroupSession`]s must aggregate identically to solo runs
+/// group-by [`Session`]s must aggregate identically to solo runs
 /// (exercised on one representative spill mode; the sorter matrix above
 /// covers the codec/pipeline axes).
 #[test]
@@ -218,12 +256,15 @@ fn interleaved_group_sessions_match_solo_runs() {
 ///   poison the shared [`stream::SpillIoHandle`]);
 /// * session C gets a dense permanent ENOSPC plan — it fails loudly with
 ///   a typed [`SessionError`] naming its own tenant, kind preserved;
-/// * clean session B, interleaved with both, stays byte-identical to a
-///   solo run, and every lease/grant is reclaimed after the drops.
+/// * group-by session D gets the same kind of plan and fails the same
+///   way;
+/// * clean session B, interleaved with all three, stays byte-identical to
+///   a solo run, and every lease/grant is reclaimed after the drops.
 #[test]
 fn faulted_sessions_stay_isolated_from_clean_peers() {
     let inputs = session_inputs();
     let (input_a, input_b, input_c) = (&inputs[0], &inputs[1], &inputs[2]);
+    let input_d: Vec<(u32, u64)> = inputs[3].iter().map(|&(k, v)| (k, v as u64)).collect();
     let sorted = |input: &[(u32, u32)]| {
         let mut want = input.to_vec();
         want.sort_by_key(|r| r.0);
@@ -243,12 +284,28 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
 
     let panic_plan = FaultPlan::nth(FaultKind::WritePanic, 1);
     let mut a = server
-        .open_sort_with_faults::<u32, u32>("tenant-a", 64 << 10, panic_plan.clone())
+        .open(
+            "tenant-a",
+            64 << 10,
+            Some(panic_plan.clone()),
+            StreamSorter::<u32, u32>::with_config_and_io,
+        )
         .unwrap();
     let mut b = server.open_sort::<u32, u32>("tenant-b", 64 << 10).unwrap();
     let enospc_plan = FaultPlan::seeded_kinds(0xBAD_5EED, 2, &[FaultKind::WriteEnospc]);
     let mut c = server
-        .open_sort_with_faults::<u32, u32>("tenant-c", 64 << 10, enospc_plan)
+        .open(
+            "tenant-c",
+            64 << 10,
+            Some(enospc_plan),
+            StreamSorter::<u32, u32>::with_config_and_io,
+        )
+        .unwrap();
+    let group_plan = FaultPlan::seeded_kinds(0x6_5EED, 2, &[FaultKind::WriteEnospc]);
+    let mut d = server
+        .open("tenant-d", 64 << 10, Some(group_plan), |cfg, io| {
+            StreamGroupBy::<u32, SumAgg>::with_config_and_io(SumAgg, cfg, io)
+        })
         .unwrap();
 
     // Round-robin interleave.  A's single loud error (the caught writer
@@ -256,6 +313,7 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
     // (permanent) error; B must never error.
     let mut a_errors = 0usize;
     let mut c_error: Option<std::io::Error> = None;
+    let mut d_error: Option<std::io::Error> = None;
     let max_chunks = inputs[..3]
         .iter()
         .map(|i| i.len().div_ceil(CHUNK))
@@ -281,6 +339,11 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
                 c_error = Some(e);
             }
         }
+        if d_error.is_none() {
+            if let Err(e) = d.push(&input_d[lo..hi]) {
+                d_error = Some(e);
+            }
+        }
     }
 
     assert_eq!(panic_plan.injected(), 1, "A's panic fault must have fired");
@@ -302,6 +365,16 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
     assert_eq!(session_err.tenant, "tenant-c", "failure names its session");
     drop(c);
 
+    let err = d_error.expect("the dense ENOSPC plan must fail group session D");
+    assert_eq!(
+        err.kind(),
+        std::io::ErrorKind::StorageFull,
+        "kind preserved"
+    );
+    let session_err = SessionError::from_io(&err).expect("typed SessionError");
+    assert_eq!(session_err.tenant, "tenant-d", "failure names its session");
+    drop(d);
+
     let got_b: Vec<(u32, u32)> = b.finish().unwrap().collect();
     assert_eq!(
         got_b,
@@ -316,4 +389,68 @@ fn faulted_sessions_stay_isolated_from_clean_peers() {
         0,
         "charges released"
     );
+}
+
+/// `shrink_to_budget` can spill like `push` can, so it goes through the
+/// same session quarantine and disk-quota charge.  Session A fills most of
+/// its full grant without spilling; admitting peer B shrinks that grant,
+/// and A's `shrink_to_budget` spills the buffered run right away.  With a
+/// fault on that first spill write, the error is a [`SessionError`] naming
+/// A's tenant with the ENOSPC kind kept; without one, the spilled bytes
+/// are charged to the quota before the call returns.
+#[test]
+fn shrink_to_budget_spills_through_quarantine_and_quota() {
+    for faulted in [true, false] {
+        let server = SortServer::new(ServerConfig {
+            governor: GovernorConfig {
+                global_budget_bytes: 64 << 10,
+                session_floor_bytes: 8 << 10,
+                admission: AdmissionPolicy::Reject,
+            },
+            spill: SpillManagerConfig::default(),
+            base: base_config(true, SpillCompression::Off),
+        })
+        .unwrap();
+        let faults = faulted.then(|| FaultPlan::nth(FaultKind::WriteEnospc, 0));
+        let mut a = server
+            .open(
+                "tenant-a",
+                64 << 10,
+                faults,
+                StreamSorter::<u32, u32>::with_config_and_io,
+            )
+            .unwrap();
+        // 3000 records fit the full grant's run (64 KiB / 2 shares / 8 B =
+        // 4096 records) but not a halved one.
+        let input: Vec<(u32, u32)> = (0..3000u32).map(|i| (i.rotate_left(11), i)).collect();
+        a.push(&input).unwrap();
+        assert_eq!(
+            a.stats().spilled_runs,
+            0,
+            "nothing spills at the full grant"
+        );
+        let _b = server.open_sort::<u32, u32>("tenant-b", 64 << 10).unwrap();
+        assert!(
+            a.granted_bytes() <= 32 << 10,
+            "admitting B shrinks A's grant"
+        );
+        let res = a.shrink_to_budget();
+        if faulted {
+            let err = res.expect_err("the faulted spill write must fail");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::StorageFull,
+                "kind preserved"
+            );
+            let session_err = SessionError::from_io(&err).expect("typed SessionError");
+            assert_eq!(session_err.tenant, "tenant-a", "failure names its session");
+        } else {
+            res.unwrap();
+            assert_eq!(a.stats().spilled_runs, 1, "the shrunk grant forces a spill");
+            assert!(
+                server.spill_manager().charged_bytes() > 0,
+                "the spill is charged to the quota as soon as it is durable"
+            );
+        }
+    }
 }
